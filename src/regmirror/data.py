@@ -44,15 +44,18 @@ def encode_labels(labels, classes):
     return y
 
 
+def label_accuracy(out, labels):
+    """Percent of rows of model outputs ``out`` whose argmax head is the label."""
+    return 100.0 * float(np.mean(np.argmax(out, axis=1) == labels))
+
+
 def accuracy(model, w, ds):
     """Percent of samples whose argmax head matches the class label."""
     if ds.labels is None:
         raise ValueError("dataset has no class labels")
     if ds.n == 0:
         return float("nan")
-    out = model.batch_predict(w, ds.X)
-    pred = np.argmax(out, axis=1)
-    return 100.0 * float(np.mean(pred == ds.labels))
+    return label_accuracy(model.batch_predict(w, ds.X), ds.labels)
 
 
 def generate_synthetic(classes, n_train, n_test, d, noise, rng, separation=3.0):

@@ -43,3 +43,7 @@ class MaxIterationsError(RegmirrorError):
 
 class ConfigError(RegmirrorError):
     """Experiment configuration could not be parsed or validated."""
+
+
+class WorkerError(RegmirrorError):
+    """A grid helper process failed without returning its cells."""

@@ -4,18 +4,24 @@ Config files are flat ``key = value`` text ('#' starts a comment).
 Every key has a default; command-line flags override file values. A
 grid runs one training per (algorithm, lambda, eta) cell with a cell-
 local random stream derived from (seed, cell index), so the metrics CSV
-is byte-stable for a fixed config and seed.
+is byte-stable for a fixed config and seed, however many processes
+share the cells.
 """
 
+import contextlib
 import dataclasses
 import os
+import pickle
+import signal
+import struct
+import traceback
 
 import numpy as np
 
 from .data import corrupt_labels, generate_synthetic
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError, DomainError, NonFiniteError, WorkerError
 from .models import MLPModel
-from .numerics import spawn_stream
+from .numerics import single_blas_thread, spawn_stream
 from .optimizer import ALGORITHMS, HyperParams, run
 from .potentials import SquaredL2, parse_potential
 
@@ -162,50 +168,191 @@ def _fmt(value):
     return str(value)
 
 
-def run_experiment(cfg, force=False):
-    """Run the full grid and stream rows to the config's output CSV."""
+def _cell_rows(cfg, model, potential, train, test, cell):
+    """Train one grid cell and return its CSV rows.
+
+    A cell whose weights go non-finite or leave the potential's domain
+    yields one row with that stop reason, so the rest of the grid runs.
+    """
+    index, alg, lam, eta = cell
+    hp = HyperParams(eta=eta, lam=lam if lam is not None else 1.0,
+                     batch_size=min(cfg.batch_size, train.n))
+    rng = spawn_stream(cfg.seed, 1, index)
+    pot = potential if alg in ("smd", "rmd") else SquaredL2()
+    try:
+        result = run(model, train, alg, pot, hp, rng,
+                     epochs=cfg.epochs, init_scale=cfg.init_scale,
+                     stop_window=cfg.stop_window, stop_tol=cfg.stop_tol,
+                     test=test)
+        run_rows, stop_reason = result.metrics, result.stop_reason
+    except NonFiniteError:
+        run_rows, stop_reason = [], "non-finite"
+    except DomainError:
+        run_rows, stop_reason = [], "domain-error"
+    prefix = [f"{alg}-lam{_fmt(lam)}-eta{_fmt(eta)}", alg, _fmt(lam), _fmt(eta),
+              str(cfg.seed)]
+    if not run_rows:
+        return [",".join(prefix + ["0", "NA", "NA", "NA", "NA", "NA", stop_reason])]
+    last = len(run_rows) - 1
+    return [",".join(prefix + [
+        str(m["epoch"]), _fmt(m["train_loss"]),
+        _fmt(m["train_accuracy"]), _fmt(m["test_accuracy"]),
+        _fmt(m["constraint_residual"]), _fmt(m["bregman_from_init"]),
+        stop_reason if pos == last else "",
+    ]) for pos, m in enumerate(run_rows)]
+
+
+def _default_jobs():
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_experiment(cfg, force=False, jobs=None):
+    """Run the full grid and write its rows, in cell order, to the output CSV.
+
+    Cells run in up to ``jobs`` processes (default: the usable cores),
+    with OpenBLAS held to one thread; the CSV does not depend on either.
+    The file is written only once every cell has run, through a
+    temporary file renamed into place.
+    """
     if os.path.exists(cfg.out) and not force:
         raise ConfigError(f"refusing to overwrite {cfg.out!r}; pass --force")
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     train, test = build_datasets(cfg)
     model = cfg.build_model()
     potential = parse_potential(cfg.potential)
-    rows = []
-    with open(cfg.out, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for index, alg, lam, eta in _grid(cfg):
-            exp_id = f"{alg}-lam{_fmt(lam)}-eta{_fmt(eta)}"
-            hp = HyperParams(eta=eta, lam=lam if lam is not None else 1.0,
-                             batch_size=min(cfg.batch_size, train.n))
-            rng = spawn_stream(cfg.seed, 1, index)
-            pot = potential if alg in ("smd", "rmd") else SquaredL2()
-            try:
-                result = run(model, train, alg, pot, hp, rng,
-                             epochs=cfg.epochs, init_scale=cfg.init_scale,
-                             stop_window=cfg.stop_window, stop_tol=cfg.stop_tol,
-                             test=test)
-                run_rows = result.metrics
-                stop_reason = result.stop_reason
-            except NonFiniteError:
-                run_rows = []
-                stop_reason = "non-finite"
-            for pos, m in enumerate(run_rows):
-                final = pos == len(run_rows) - 1
-                row = ",".join([
-                    exp_id, alg, _fmt(lam), _fmt(eta), str(cfg.seed),
-                    str(m["epoch"]), _fmt(m["train_loss"]),
-                    _fmt(m["train_accuracy"]), _fmt(m["test_accuracy"]),
-                    _fmt(m["constraint_residual"]), _fmt(m["bregman_from_init"]),
-                    stop_reason if final else "",
-                ])
-                fh.write(row + "\n")
-                rows.append(row)
-            if not run_rows:
-                row = ",".join([exp_id, alg, _fmt(lam), _fmt(eta), str(cfg.seed),
-                                "0", "NA", "NA", "NA", "NA", "NA", stop_reason])
-                fh.write(row + "\n")
-                rows.append(row)
-            fh.flush()
+    cells = list(_grid(cfg))
+
+    def run_cell(position):
+        return _cell_rows(cfg, model, potential, train, test, cells[position])
+
+    with single_blas_thread():
+        per_cell = _run_cells(run_cell, len(cells), jobs or _default_jobs())
+    rows = [row for cell_rows in per_cell for row in cell_rows]
+    _write_csv(cfg.out, rows)
     return rows
+
+
+def _write_csv(path, rows):
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(CSV_HEADER + "\n")
+            fh.writelines(row + "\n" for row in rows)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+# At most this many claims sit in the cell queue, 4 bytes each, so the
+# whole queue fits in a pipe's buffer and is written before any fork.
+_MAX_CLAIMS = 1024
+_CLAIM = struct.Struct("<I")
+
+
+def _run_cells(run_cell, count, jobs):
+    """[run_cell(p) for p in range(count)], spread over up to ``jobs`` processes.
+
+    The calling process runs cells itself; ``jobs - 1`` forked helpers
+    inherit the data and model and run cells alongside it. Every process
+    claims the next block of positions from a shared pipe when it goes
+    idle, because cells differ widely in length. Helpers send their
+    results back pickled over a pipe of their own; an exception in any
+    process reaches the caller after every helper has been reaped.
+
+    Forking is safe although OpenBLAS may hold idle threads: it shuts
+    its thread pool down around fork() through pthread_atfork.
+    """
+    jobs = min(jobs, count) if hasattr(os, "fork") else 1
+    if jobs <= 1:
+        return [run_cell(position) for position in range(count)]
+    block = -(-count // _MAX_CLAIMS)
+    queue_r, queue_w = os.pipe()
+    os.write(queue_w, b"".join(_CLAIM.pack(start) for start in range(0, count, block)))
+    os.close(queue_w)
+    helpers = []  # (pid, read end of its result pipe)
+    try:
+        for _ in range(jobs - 1):
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _helper_main(run_cell, count, block, queue_r, result_w)
+            os.close(result_w)
+            helpers.append((pid, result_r))
+        done = _claim_cells(run_cell, count, block, queue_r)
+    except BaseException:
+        _drain(queue_r)
+        for pid, _ in helpers:
+            os.kill(pid, signal.SIGKILL)
+        _reap(helpers)
+        raise
+    finally:
+        os.close(queue_r)
+    error = None
+    for pid, data in _reap(helpers):
+        payload = pickle.loads(data) if data else None
+        if payload is None:
+            error = error or WorkerError(f"grid helper {pid} exited without returning its cells")
+        elif payload[0] == "ok":
+            done.update(payload[1])
+        elif error is None:
+            error = payload[1]
+            error.__cause__ = WorkerError(f"raised in grid helper {pid}:\n{payload[2]}")
+    if error is not None:
+        raise error
+    return [done[position] for position in range(count)]
+
+
+def _claim_cells(run_cell, count, block, queue_r):
+    done = {}
+    while True:
+        # reads get whole claims: the queue is written in full before any read
+        claim = os.read(queue_r, _CLAIM.size)
+        if not claim:
+            return done
+        start, = _CLAIM.unpack(claim)
+        for position in range(start, min(start + block, count)):
+            done[position] = run_cell(position)
+
+
+def _drain(queue_r):
+    """Take every unclaimed cell off the queue so the other processes stop."""
+    while os.read(queue_r, 4096):
+        pass
+
+
+def _helper_main(run_cell, count, block, queue_r, result_w):
+    """Body of a forked helper: run claimed cells, send them back, exit."""
+    try:
+        try:
+            payload = ("ok", _claim_cells(run_cell, count, block, queue_r))
+        except BaseException as exc:
+            _drain(queue_r)
+            payload = ("error", exc, traceback.format_exc())
+            try:
+                pickle.loads(pickle.dumps(exc))  # the parent must be able to rebuild it
+            except Exception:
+                payload = ("error", WorkerError(repr(exc)), payload[2])
+        with os.fdopen(result_w, "wb") as fh:
+            fh.write(pickle.dumps(payload))
+    finally:
+        os._exit(0)  # skip the parent's atexit handlers and buffered output
+
+
+def _reap(helpers):
+    """Read each helper's result pipe to EOF and wait for it; [(pid, bytes)]."""
+    results = []
+    for pid, result_r in helpers:
+        with os.fdopen(result_r, "rb") as fh:
+            data = fh.read()
+        os.waitpid(pid, 0)
+        results.append((pid, data))
+    return results
 
 
 def _parse_metrics(path):

@@ -18,6 +18,16 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 
+def square_losses(out, ys):
+    """Per-sample loss 1/2 ||y - f(x)||^2 from model outputs ``out``.
+
+    ``out`` and ``ys`` hold one row (or one scalar) per sample.
+    """
+    n = len(out)
+    resid = np.reshape(out, (n, -1)) - np.reshape(np.asarray(ys, dtype=float), (n, -1))
+    return 0.5 * np.sum(resid * resid, axis=1)
+
+
 class LinearModel:
     n_outputs = 1
 
@@ -54,8 +64,7 @@ class LinearModel:
         return 0.5 * float(r @ r) / m, -(xs.T @ r) / m
 
     def sample_losses(self, w, xs, ys):
-        r = np.asarray(ys, dtype=float).reshape(-1) - xs @ w
-        return 0.5 * r * r
+        return square_losses(xs @ w, ys)
 
     def _check(self, w, x):
         if w.shape != (self.d,) or x.shape != (self.d,):
@@ -158,9 +167,5 @@ class MLPModel:
         return loss, grad
 
     def sample_losses(self, w, xs, ys):
-        ys = np.asarray(ys, dtype=float)
-        if ys.ndim == 1:
-            ys = ys[:, None]
         _, out = self._forward(w, xs)
-        resid = out - ys
-        return 0.5 * np.sum(resid * resid, axis=1)
+        return square_losses(out, ys)

@@ -1,9 +1,12 @@
-"""Dense linear algebra helpers and seeded randomness.
+"""Dense linear algebra helpers, BLAS threading and seeded randomness.
 
 Vectors and matrices are plain float64 numpy arrays throughout the
 package. All randomness flows through generators created by
 :func:`rng_stream`, so a fixed seed reproduces every draw sequence.
 """
+
+import contextlib
+import ctypes
 
 import numpy as np
 
@@ -11,6 +14,60 @@ from .errors import SingularMatrixError
 
 # Relative pivot threshold below which elimination refuses to proceed.
 PIVOT_TOL = 1e-12
+
+
+# (get, set) symbol pairs of numpy's bundled scipy-openblas and of a system OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def openblas_thread_api():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    The library is found among this process's mapped files, so the
+    lookup works only where /proc/self/maps exists (Linux).
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a mapping of a since-deleted file
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Limit OpenBLAS to one thread for the body, then restore its count.
+
+    Grid cells are too small for BLAS threads to pay off, and threads
+    from several cell processes oversubscribe the cores. Without a
+    reachable OpenBLAS the body runs with the threading it has.
+    """
+    api = openblas_thread_api()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def rng_stream(seed):

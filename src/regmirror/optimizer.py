@@ -21,8 +21,9 @@ import math
 
 import numpy as np
 
-from .data import accuracy
+from .data import accuracy, label_accuracy
 from .errors import EmptyBatchError, NonFiniteError
+from .models import square_losses
 
 ALGORITHMS = ("sgd", "smd", "rmd", "wd")
 
@@ -55,17 +56,6 @@ def sgd_step(state, model, ds, i, hp):
     state.step += 1
 
 
-def weight_decay_step(state, model, ds, i, hp):
-    """SGD on the per-sample view of lambda * sum_i L_i + 1/2 ||w||^2.
-
-    Scaling so the loss term keeps unit weight gives a per-sample decay
-    coefficient of 1 / (lambda * n).
-    """
-    _, g = model.loss_and_grad(state.w, ds.X[i], ds.Y[i])
-    state.w -= hp.eta * (g + state.w / (hp.lam * ds.n))
-    state.step += 1
-
-
 def smd_step(state, model, potential, ds, i, hp):
     """grad psi(w) <- grad psi(w) - eta * grad L_i(w), then invert."""
     _, g = model.loss_and_grad(state.w, ds.X[i], ds.Y[i])
@@ -89,12 +79,6 @@ def rmd_minibatch_step(state, model, potential, ds, indices, hp):
     potential.step(state.w, g, c / max(r, hp.epsilon_guard))
     state.z[indices] -= c / hp.lam
     state.step += 1
-
-
-def constraint_residual(state, model, ds):
-    """Sum_i |z[i] - sqrt(2 L_i(w))|, the RMD stopping statistic."""
-    losses = model.sample_losses(state.w, ds.X, ds.Y)
-    return float(np.sum(np.abs(state.z - np.sqrt(2.0 * losses))))
 
 
 @dataclasses.dataclass
@@ -158,6 +142,8 @@ def run(model, train, algorithm, potential, hp, rng, *, epochs,
             else:
                 loss, g = model.batch_loss_and_grad(state.w, train.X[batch], train.Y[batch])
                 if algorithm == "wd":
+                    # SGD on lambda * sum_i L_i + 1/2 ||w||^2 with the loss
+                    # term at unit weight: decay 1 / (lambda * n) per sample
                     g = g + state.w / (hp.lam * train.n)
                 if algorithm == "smd":
                     potential.step(state.w, g, -hp.eta)
@@ -168,9 +154,11 @@ def run(model, train, algorithm, potential, hp, rng, *, epochs,
         if not np.all(np.isfinite(state.w)):
             raise NonFiniteError(f"non-finite weights at epoch {epoch}")
 
-        losses = model.sample_losses(state.w, train.X, train.Y)
+        out = model.batch_predict(state.w, train.X)  # one train forward per epoch
+        losses = square_losses(out, train.Y)
         train_loss = float(losses.mean())
-        train_acc = accuracy(model, state.w, train) if train.labels is not None else float("nan")
+        train_acc = (label_accuracy(out, train.labels) if train.labels is not None
+                     else float("nan"))
         test_acc = (accuracy(model, state.w, test)
                     if test is not None and test.labels is not None else float("nan"))
         residual = float("nan")

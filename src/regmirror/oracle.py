@@ -222,6 +222,11 @@ def regularized_objective(rp, w):
     return data_term + rp.potential.bregman(w, rp.anchor)
 
 
+# A predicted decrease this small relative to |f| is lost in the
+# rounding of f itself (a few ulps of each of its terms).
+_FLAT_DECREASE = 64 * np.finfo(float).eps
+
+
 def regularized_reference(rp, grad_tol=1e-9, max_iter=5000):
     """High-precision minimizer of the regularized batch objective.
 
@@ -247,9 +252,12 @@ def regularized_reference(rp, grad_tol=1e-9, max_iter=5000):
         except Exception:
             return float("inf")
 
+    def gradient(v):
+        return rp.lam * (xtx @ v - x.T @ y) + rp.potential.grad(v) - anchor_grad
+
     f = objective(w)
     for _ in range(max_iter):
-        grad = rp.lam * (xtx @ w - x.T @ y) + rp.potential.grad(w) - anchor_grad
+        grad = gradient(w)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm < grad_tol:
             return w
@@ -261,8 +269,17 @@ def regularized_reference(rp, grad_tol=1e-9, max_iter=5000):
                 break
             except Exception:
                 shift = max(10.0 * shift, 1e-10)
-        t = 1.0
         decrease = float(grad @ step)
+        if 0.0 < -decrease <= _FLAT_DECREASE * abs(f):
+            # The predicted decrease is below f's rounding error, so the
+            # Armijo test can no longer tell a good step from a bad one.
+            # Next to the minimizer, judge the full Newton step by the
+            # gradient it leaves instead.
+            w_try = w + step
+            if float(np.max(np.abs(gradient(w_try)))) < grad_norm:
+                w, f = w_try, objective(w_try)
+                continue
+        t = 1.0
         while t > 1e-16:
             f_try = objective(w + t * step)
             if f_try <= f + 1e-4 * t * decrease:

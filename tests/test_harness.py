@@ -1,9 +1,16 @@
+import contextlib
+import os
+import select
+import time
+
 import numpy as np
 import pytest
 
+from regmirror import harness
 from regmirror.errors import ConfigError
 from regmirror.harness import (CSV_HEADER, ExperimentConfig, load_config,
                                run_experiment, summarize)
+from regmirror.numerics import openblas_thread_api
 
 TINY = """
 # a tiny, fast grid for harness tests
@@ -90,12 +97,145 @@ class TestRunExperiment:
             run_experiment(cfg)
         run_experiment(cfg, force=True)
 
+    def test_domain_error_recorded_per_cell(self, tmp_path):
+        # the Gaussian init leaves the entropy domain, so every cell fails
+        out = tmp_path / "metrics.csv"
+        cfg = load_config(write_config(tmp_path, out=str(out), potential="entropy",
+                                       algorithms="rmd"))
+        run_experiment(cfg)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["rmd-lam0.5-eta0.01", "rmd-lam2-eta0.01"]
+        assert all(row[5] == "0" and row[11] == "domain-error" for row in rows)
+
     def test_test_accuracy_na_without_test_set(self, tmp_path):
         out = tmp_path / "metrics.csv"
         cfg = load_config(write_config(tmp_path, out=str(out), n_test="0"))
         run_experiment(cfg)
         row = out.read_text().splitlines()[1].split(",")
         assert row[8] == "NA"
+
+
+# the criterion-11 config, and the criterion-9 grid cut to 3 epochs on small data
+CRITERION_11 = ("model = linear\nclasses = 3\nn_train = 30\nn_test = 20\n"
+                "input_dim = 40\ncorruption = 0.1\nalgorithms = sgd,rmd\n"
+                "lambdas = 1.0\netas = 0.01\nepochs = 30\n"
+                "stop_window = 10\nbatch_size = 4\nseed = 3\n")
+GRID_11_CELLS = ("corruption = 0.25\netas = 0.1\nepochs = 3\n"
+                 "n_train = 100\nn_test = 50\nhidden = 16,16\n")
+
+
+def _live_children():
+    """Pids of this process's unreaped children, zombies included."""
+    try:
+        with open(f"/proc/self/task/{os.getpid()}/children") as fh:
+            return set(fh.read().split())
+    except FileNotFoundError:
+        pytest.skip("needs /proc/<pid>/task/<tid>/children")
+
+
+class TestParallelCells:
+    @pytest.mark.parametrize("text", [CRITERION_11, GRID_11_CELLS],
+                             ids=["criterion-11", "grid-11-cells"])
+    def test_csv_independent_of_jobs(self, tmp_path, text):
+        csvs = []
+        for jobs in (1, 2, 4):
+            out = tmp_path / f"jobs{jobs}.csv"
+            run_experiment(load_config(write_config(tmp_path, text), {"out": str(out)}),
+                           jobs=jobs)
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
+        assert csvs[0].count(b"\n") > 1
+
+    def test_csv_independent_of_blas_threads(self, tmp_path, monkeypatch):
+        outs = tmp_path / "one.csv", tmp_path / "default.csv"
+        run_experiment(load_config(write_config(tmp_path, GRID_11_CELLS),
+                                   {"out": str(outs[0])}), jobs=1)
+        monkeypatch.setattr(harness, "single_blas_thread", contextlib.nullcontext)
+        run_experiment(load_config(write_config(tmp_path, GRID_11_CELLS),
+                                   {"out": str(outs[1])}), jobs=1)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_blas_threads_pinned_then_restored(self, tmp_path, monkeypatch):
+        api = openblas_thread_api()
+        if api is None:
+            pytest.skip("no OpenBLAS thread API reachable")
+        get, set_ = api
+        original = get()
+        seen = []
+        real_run = harness.run
+
+        def recording_run(*args, **kwargs):
+            seen.append(get())
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", recording_run)
+        cfg = load_config(write_config(tmp_path, out=str(tmp_path / "m.csv")))
+        set_(2)
+        try:
+            run_experiment(cfg, jobs=1)
+            after = get()
+        finally:
+            set_(original)
+        assert seen and set(seen) == {1}
+        assert after == 2
+
+    def test_helper_exception_reaches_caller(self, tmp_path, monkeypatch):
+        parent, real_run = os.getpid(), harness.run
+        started_r, started_w = os.pipe()
+
+        def run_failing_in_helper(*args, **kwargs):
+            if os.getpid() != parent:
+                os.write(started_w, b"x")
+                raise RuntimeError("helper cell failed")
+            # hold the parent's first cell until a helper has claimed one
+            select.select([started_r], [], [], 30)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", run_failing_in_helper)
+        before = _live_children()
+        out = tmp_path / "metrics.csv"
+        try:
+            with pytest.raises(RuntimeError, match="helper cell failed") as info:
+                run_experiment(load_config(write_config(tmp_path, out=str(out))), jobs=2)
+        finally:
+            os.close(started_r)
+            os.close(started_w)
+        assert "grid helper" in str(info.value.__cause__)
+        assert _live_children() == before
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]  # no CSV, no temp file
+
+    def test_parent_exception_stops_helpers(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        started_r, started_w = os.pipe()
+
+        def run_failing_in_parent(*args, **kwargs):
+            if os.getpid() != parent:
+                os.write(started_w, b"x")
+                time.sleep(60)  # a busy helper must be stopped, not awaited
+            select.select([started_r], [], [], 30)
+            raise RuntimeError("parent cell failed")
+
+        monkeypatch.setattr(harness, "run", run_failing_in_parent)
+        before = _live_children()
+        out = tmp_path / "metrics.csv"
+        out.write_text("previous results\n")
+        start = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match="parent cell failed"):
+                run_experiment(load_config(write_config(tmp_path, out=str(out))),
+                               force=True, jobs=2)
+        finally:
+            os.close(started_r)
+            os.close(started_w)
+        assert time.monotonic() - start < 30
+        assert _live_children() == before
+        assert out.read_text() == "previous results\n"
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "metrics.csv"]
+
+    def test_bad_jobs_rejected(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, out=str(tmp_path / "m.csv")))
+        with pytest.raises(ConfigError, match="jobs"):
+            run_experiment(cfg, jobs=0)
 
 
 class TestSummarize:

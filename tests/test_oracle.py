@@ -145,6 +145,18 @@ class TestRegularizedReference:
             + rp.potential.grad(w) - rp.potential.grad(anchor)
         assert np.max(np.abs(g)) < 1e-9
 
+    def test_converges_where_objective_is_flat_to_rounding(self):
+        # Armijo backtracking on f stalled here at a gradient of 1.4e-9
+        # (||X^T y||_inf = 13.5): the last Newton decreases fall below
+        # f's rounding error.
+        rng = np.random.default_rng([15, 5, 10, 30, 2])
+        x = rng.standard_normal((10, 30))
+        y = rng.standard_normal(10)
+        rp = RegularizedProblem(InterpolationProblem(x, y), 1.0, QNorm(3.0))
+        w = regularized_reference(rp, max_iter=100)
+        g = x.T @ (x @ w - y) + rp.potential.grad(w)
+        assert np.max(np.abs(g)) < 1e-12
+
     def test_objective_beats_training_run_value(self):
         # the reference must be at least as good as any other candidate
         problem = random_problem(4, 10, seed=8)
