@@ -45,8 +45,6 @@ def _build_parser():
     p_run.add_argument("config")
     p_run.add_argument("--force", action="store_true",
                        help="overwrite an existing output CSV")
-    p_run.add_argument("--jobs", type=int, default=None,
-                       help="processes that run grid cells (default: usable cores)")
     for flag in _OVERRIDES:
         p_run.add_argument(f"--{flag.replace('_', '-')}", dest=f"ov_{flag}")
 
@@ -76,7 +74,7 @@ def _cmd_run(args):
         if value is not None:
             overrides[key] = value
     cfg = load_config(args.config, overrides)
-    run_experiment(cfg, force=args.force, jobs=args.jobs)
+    run_experiment(cfg, force=args.force)
     print(f"wrote {cfg.out}")
 
 

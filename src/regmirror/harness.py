@@ -12,9 +12,7 @@ import contextlib
 import dataclasses
 import os
 import pickle
-import signal
 import struct
-import traceback
 
 import numpy as np
 
@@ -209,18 +207,16 @@ def _default_jobs():
     return os.cpu_count() or 1
 
 
-def run_experiment(cfg, force=False, jobs=None):
+def run_experiment(cfg, force=False):
     """Run the full grid and write its rows, in cell order, to the output CSV.
 
-    Cells run in up to ``jobs`` processes (default: the usable cores),
+    Cells run in one process per usable core (at most one per cell),
     with OpenBLAS held to one thread; the CSV does not depend on either.
     The file is written only once every cell has run, through a
     temporary file renamed into place.
     """
     if os.path.exists(cfg.out) and not force:
         raise ConfigError(f"refusing to overwrite {cfg.out!r}; pass --force")
-    if jobs is not None and jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     train, test = build_datasets(cfg)
     model = cfg.build_model()
     potential = parse_potential(cfg.potential)
@@ -230,7 +226,7 @@ def run_experiment(cfg, force=False, jobs=None):
         return _cell_rows(cfg, model, potential, train, test, cells[position])
 
     with single_blas_thread():
-        per_cell = _run_cells(run_cell, len(cells), jobs or _default_jobs())
+        per_cell = _run_cells(run_cell, len(cells), _default_jobs())
     rows = [row for cell_rows in per_cell for row in cell_rows]
     _write_csv(cfg.out, rows)
     return rows
@@ -286,6 +282,8 @@ def _run_cells(run_cell, count, jobs):
             helpers.append((pid, result_r))
         done = _claim_cells(run_cell, count, block, queue_r)
     except BaseException:
+        import signal  # imported here, off the start-up path of every run
+
         _drain(queue_r)
         for pid, _ in helpers:
             os.kill(pid, signal.SIGKILL)
@@ -332,6 +330,8 @@ def _helper_main(run_cell, count, block, queue_r, result_w):
         try:
             payload = ("ok", _claim_cells(run_cell, count, block, queue_r))
         except BaseException as exc:
+            import traceback  # imported here, off the start-up path of every run
+
             _drain(queue_r)
             payload = ("error", exc, traceback.format_exc())
             try:

@@ -275,9 +275,12 @@ def regularized_reference(rp, grad_tol=1e-9, max_iter=5000):
             # Armijo test can no longer tell a good step from a bad one.
             # Next to the minimizer, judge the full Newton step by the
             # gradient it leaves instead.
+            # A step that leaves the potential's domain has f = inf and
+            # no gradient; it goes to the backtracking below.
             w_try = w + step
-            if float(np.max(np.abs(gradient(w_try)))) < grad_norm:
-                w, f = w_try, objective(w_try)
+            f_try = objective(w_try)
+            if f_try < float("inf") and float(np.max(np.abs(gradient(w_try)))) < grad_norm:
+                w, f = w_try, f_try
                 continue
         t = 1.0
         while t > 1e-16:

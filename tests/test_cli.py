@@ -53,7 +53,7 @@ def test_run_records_domain_error_and_exits_zero(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CONFIG + "potential = entropy\nalgorithms = rmd\n")
     out = tmp_path / "metrics.csv"
-    assert main(["run", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 1 and rows[0].endswith(",domain-error")
 

@@ -136,23 +136,24 @@ def _live_children():
 class TestParallelCells:
     @pytest.mark.parametrize("text", [CRITERION_11, GRID_11_CELLS],
                              ids=["criterion-11", "grid-11-cells"])
-    def test_csv_independent_of_jobs(self, tmp_path, text):
+    def test_csv_independent_of_jobs(self, tmp_path, monkeypatch, text):
         csvs = []
         for jobs in (1, 2, 4):
+            monkeypatch.setattr(harness, "_default_jobs", lambda jobs=jobs: jobs)
             out = tmp_path / f"jobs{jobs}.csv"
-            run_experiment(load_config(write_config(tmp_path, text), {"out": str(out)}),
-                           jobs=jobs)
+            run_experiment(load_config(write_config(tmp_path, text), {"out": str(out)}))
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1] == csvs[2]
         assert csvs[0].count(b"\n") > 1
 
     def test_csv_independent_of_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_default_jobs", lambda: 1)
         outs = tmp_path / "one.csv", tmp_path / "default.csv"
         run_experiment(load_config(write_config(tmp_path, GRID_11_CELLS),
-                                   {"out": str(outs[0])}), jobs=1)
+                                   {"out": str(outs[0])}))
         monkeypatch.setattr(harness, "single_blas_thread", contextlib.nullcontext)
         run_experiment(load_config(write_config(tmp_path, GRID_11_CELLS),
-                                   {"out": str(outs[1])}), jobs=1)
+                                   {"out": str(outs[1])}))
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_blas_threads_pinned_then_restored(self, tmp_path, monkeypatch):
@@ -169,10 +170,11 @@ class TestParallelCells:
             return real_run(*args, **kwargs)
 
         monkeypatch.setattr(harness, "run", recording_run)
+        monkeypatch.setattr(harness, "_default_jobs", lambda: 1)
         cfg = load_config(write_config(tmp_path, out=str(tmp_path / "m.csv")))
         set_(2)
         try:
-            run_experiment(cfg, jobs=1)
+            run_experiment(cfg)
             after = get()
         finally:
             set_(original)
@@ -192,11 +194,12 @@ class TestParallelCells:
             return real_run(*args, **kwargs)
 
         monkeypatch.setattr(harness, "run", run_failing_in_helper)
+        monkeypatch.setattr(harness, "_default_jobs", lambda: 2)
         before = _live_children()
         out = tmp_path / "metrics.csv"
         try:
             with pytest.raises(RuntimeError, match="helper cell failed") as info:
-                run_experiment(load_config(write_config(tmp_path, out=str(out))), jobs=2)
+                run_experiment(load_config(write_config(tmp_path, out=str(out))))
         finally:
             os.close(started_r)
             os.close(started_w)
@@ -216,6 +219,7 @@ class TestParallelCells:
             raise RuntimeError("parent cell failed")
 
         monkeypatch.setattr(harness, "run", run_failing_in_parent)
+        monkeypatch.setattr(harness, "_default_jobs", lambda: 2)
         before = _live_children()
         out = tmp_path / "metrics.csv"
         out.write_text("previous results\n")
@@ -223,7 +227,7 @@ class TestParallelCells:
         try:
             with pytest.raises(RuntimeError, match="parent cell failed"):
                 run_experiment(load_config(write_config(tmp_path, out=str(out))),
-                               force=True, jobs=2)
+                               force=True)
         finally:
             os.close(started_r)
             os.close(started_w)
@@ -231,11 +235,6 @@ class TestParallelCells:
         assert _live_children() == before
         assert out.read_text() == "previous results\n"
         assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "metrics.csv"]
-
-    def test_bad_jobs_rejected(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, out=str(tmp_path / "m.csv")))
-        with pytest.raises(ConfigError, match="jobs"):
-            run_experiment(cfg, jobs=0)
 
 
 class TestSummarize:

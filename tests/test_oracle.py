@@ -157,6 +157,17 @@ class TestRegularizedReference:
         g = x.T @ (x @ w - y) + rp.potential.grad(w)
         assert np.max(np.abs(g)) < 1e-12
 
+    def test_flat_newton_step_outside_entropy_domain_backtracks(self):
+        # The minimizer is w* = 7.1e-23. On the way down the objective is
+        # flat to rounding while log(w / w*) > 1, so the full Newton step
+        # -log(w / w*) w lands below zero, outside the entropy domain.
+        x, y = np.array([[1.0]]), np.array([-1.0])
+        rp = RegularizedProblem(InterpolationProblem(x, y), 50.0, NegativeEntropy())
+        w = regularized_reference(rp)
+        g = 50.0 * x.T @ (x @ w - y) + rp.potential.grad(w)
+        assert w[0] > 0.0
+        assert np.max(np.abs(g)) < 1e-9
+
     def test_objective_beats_training_run_value(self):
         # the reference must be at least as good as any other candidate
         problem = random_problem(4, 10, seed=8)
