@@ -17,9 +17,16 @@ def l2_step(w, g, s):
 
 
 def qnorm_step(w, g, s, q):
-    dual = np.sign(w) * np.abs(w) ** (q - 1.0)
-    dual += s * g
-    np.multiply(np.sign(dual), np.abs(dual) ** (1.0 / (q - 1.0)), out=w)
+    # in-place ** keeps numpy's square and sqrt fast paths (q = 3);
+    # copysign differs from sign(x) * |x| only in the sign of an exact zero
+    dual = np.abs(w)
+    dual **= q - 1.0
+    np.copysign(dual, w, out=dual)
+    np.multiply(s, g, out=w)
+    dual += w
+    np.abs(dual, out=w)
+    w **= 1.0 / (q - 1.0)
+    np.copysign(w, dual, out=w)
 
 
 def entropy_step(w, g, s):

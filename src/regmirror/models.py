@@ -102,27 +102,30 @@ class MLPModel:
             layers.append((mat, bias))
         return layers
 
-    def _forward(self, w, xs):
+    def _forward(self, layers, xs):
         """Forward pass over a batch; returns hidden activations + outputs."""
-        layers = self._layers(w)
         hidden = [xs]
         h = xs
         for mat, bias in layers[:-1]:
-            h = np.tanh(h @ mat + bias)
+            h = h @ mat
+            h += bias
+            np.tanh(h, out=h)
             hidden.append(h)
         mat, bias = layers[-1]
-        return hidden, h @ mat + bias
+        out = h @ mat
+        out += bias
+        return hidden, out
 
     def predict(self, w, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise DimensionMismatchError(f"MLP input dimension {self.d}, got x{x.shape}")
-        _, out = self._forward(w, x[None, :])
+        _, out = self._forward(self._layers(w), x[None, :])
         out = out[0]
         return float(out[0]) if self.n_outputs == 1 else out
 
     def batch_predict(self, w, xs):
-        _, out = self._forward(w, xs)
+        _, out = self._forward(self._layers(w), xs)
         return out[:, 0] if self.n_outputs == 1 else out
 
     def loss(self, w, x, y):
@@ -145,13 +148,13 @@ class MLPModel:
         ys = np.asarray(ys, dtype=float)
         if ys.ndim == 1:
             ys = ys[:, None]
-        hidden, out = self._forward(w, xs)
+        layers = self._layers(w)
+        hidden, out = self._forward(layers, xs)
         resid = out - ys
         m = xs.shape[0]
-        loss = 0.5 * float(np.sum(resid * resid)) / m
+        loss = 0.5 * float(np.add.reduce(resid * resid, axis=None)) / m
 
         grad = np.empty(self.n_params)
-        layers = self._layers(w)
         delta = resid / m
         pos = self.n_params
         for idx in range(len(layers) - 1, -1, -1):
@@ -159,13 +162,14 @@ class MLPModel:
             h = hidden[idx]
             fan_in, fan_out = self._shapes[idx]
             pos -= fan_out
-            grad[pos:pos + fan_out] = delta.sum(axis=0)
+            np.add.reduce(delta, axis=0, out=grad[pos:pos + fan_out])
             pos -= fan_in * fan_out
-            grad[pos:pos + fan_in * fan_out] = (h.T @ delta).ravel()
+            # np.dot, not @: at batch 1 matmul skips BLAS for a slower loop
+            np.dot(h.T, delta, out=grad[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
             if idx > 0:
                 delta = (delta @ mat.T) * (1.0 - h * h)
         return loss, grad
 
     def sample_losses(self, w, xs, ys):
-        _, out = self._forward(w, xs)
+        _, out = self._forward(self._layers(w), xs)
         return square_losses(out, ys)

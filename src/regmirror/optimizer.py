@@ -73,7 +73,7 @@ def rmd_minibatch_step(state, model, potential, ds, indices, hp):
     if indices.size == 0:
         raise EmptyBatchError("RMD mini-batch update needs at least one sample")
     loss, g = model.batch_loss_and_grad(state.w, ds.X[indices], ds.Y[indices])
-    z_bar = float(state.z[indices].mean())
+    z_bar = float(np.add.reduce(state.z[indices])) / indices.size  # the mean, cheaper
     r = math.sqrt(2.0 * loss)
     c = hp.eta * (z_bar - r)
     potential.step(state.w, g, c / max(r, hp.epsilon_guard))
@@ -103,7 +103,8 @@ def run(model, train, algorithm, potential, hp, rng, *, epochs,
     """Train on ``train`` for up to ``epochs`` shuffled full passes.
 
     Initialization: exactly at ``anchor`` when given, else at ``w0``,
-    else Gaussian near zero with standard deviation ``init_scale``.
+    else at argmin psi (0 for l2 and q-norms, e^-1 per coordinate for
+    entropy) plus Gaussian noise with standard deviation ``init_scale``.
     The auxiliary z starts at zero (or near zero with ``z_random``).
 
     Stopping: SGD and SMD halt at interpolation (100% train accuracy,
@@ -124,6 +125,7 @@ def run(model, train, algorithm, potential, hp, rng, *, epochs,
         w = np.array(w0, dtype=float)
     else:
         w = model.init_weights(rng, init_scale)
+        w += potential.grad_inverse(np.zeros_like(w))  # argmin psi
     potential.check_domain(w)
     z = (init_scale * rng.standard_normal(train.n) if z_random
          else np.zeros(train.n))

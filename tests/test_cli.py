@@ -1,5 +1,6 @@
 import numpy as np
 
+from regmirror import harness, optimizer
 from regmirror.cli import main
 
 CONFIG = """
@@ -49,7 +50,10 @@ def test_run_flag_overrides(tmp_path):
     assert rows[-1].split(",")[11] in ("interpolated", "budget")
 
 
-def test_run_records_domain_error_and_exits_zero(tmp_path):
+def test_run_records_domain_error_and_exits_zero(tmp_path, monkeypatch):
+    # the cell starts at w0 = -1, outside the entropy domain
+    monkeypatch.setattr(harness, "run", lambda model, *args, **kwargs: optimizer.run(
+        model, *args, w0=-np.ones(model.n_params), **kwargs))
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CONFIG + "potential = entropy\nalgorithms = rmd\n")
     out = tmp_path / "metrics.csv"

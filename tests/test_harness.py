@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from regmirror import harness
+from regmirror import harness, optimizer
 from regmirror.errors import ConfigError
 from regmirror.harness import (CSV_HEADER, ExperimentConfig, load_config,
                                run_experiment, summarize)
@@ -29,6 +29,11 @@ stop_window = 10
 batch_size = 4
 seed = 5
 """
+
+
+def start_outside_domain(model, *args, **kwargs):
+    """``optimizer.run`` started at w0 = -1, which no entropy cell accepts."""
+    return optimizer.run(model, *args, w0=-np.ones(model.n_params), **kwargs)
 
 
 def write_config(tmp_path, text=TINY, **extra):
@@ -97,8 +102,9 @@ class TestRunExperiment:
             run_experiment(cfg)
         run_experiment(cfg, force=True)
 
-    def test_domain_error_recorded_per_cell(self, tmp_path):
-        # the Gaussian init leaves the entropy domain, so every cell fails
+    def test_domain_error_recorded_per_cell(self, tmp_path, monkeypatch):
+        # every cell starts at w0 = -1, outside the entropy domain, so every cell fails
+        monkeypatch.setattr(harness, "run", start_outside_domain)
         out = tmp_path / "metrics.csv"
         cfg = load_config(write_config(tmp_path, out=str(out), potential="entropy",
                                        algorithms="rmd"))
@@ -106,6 +112,20 @@ class TestRunExperiment:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [row[0] for row in rows] == ["rmd-lam0.5-eta0.01", "rmd-lam2-eta0.01"]
         assert all(row[5] == "0" and row[11] == "domain-error" for row in rows)
+
+    def test_entropy_grid_trains(self, tmp_path):
+        # cells start at argmin psi = e^-1 plus the Gaussian init, inside the domain
+        out = tmp_path / "metrics.csv"
+        cfg = load_config(write_config(tmp_path, "n_train = 100\nn_test = 50\nhidden = 16\n",
+                                       out=str(out), potential="entropy",
+                                       algorithms="smd,rmd", lambdas="1.0",
+                                       etas="0.01,0.1", epochs="3"))
+        run_experiment(cfg)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 4 * 3
+        assert all(np.isfinite(float(row[6])) and np.isfinite(float(row[10]))
+                   for row in rows)
+        assert [row[11] for row in rows if row[11]] == ["budget"] * 4
 
     def test_test_accuracy_na_without_test_set(self, tmp_path):
         out = tmp_path / "metrics.csv"

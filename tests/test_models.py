@@ -116,3 +116,43 @@ class TestBatchConsistency:
         losses = model.sample_losses(w, xs, ys)
         for i in range(5):
             assert losses[i] == pytest.approx(model.loss(w, xs[i], ys[i]), rel=1e-12)
+
+
+def reference_backprop(model, w, xs, ys):
+    """Straight-line backprop with @ for every product: the arithmetic
+    ``batch_loss_and_grad`` must reproduce bit for bit."""
+    layers, pos = [], 0
+    for fan_in, fan_out in model._shapes:
+        mat = w[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out)
+        pos += fan_in * fan_out
+        layers.append((mat, w[pos:pos + fan_out]))
+        pos += fan_out
+    hidden = [xs]
+    for mat, bias in layers[:-1]:
+        hidden.append(np.tanh(hidden[-1] @ mat + bias))
+    resid = hidden[-1] @ layers[-1][0] + layers[-1][1] - ys
+    m = xs.shape[0]
+    loss = 0.5 * float(np.sum(resid * resid)) / m
+    parts = []
+    delta = resid / m
+    for idx in range(len(layers) - 1, -1, -1):
+        h = hidden[idx]
+        parts = [(h.T @ delta).ravel(), delta.sum(axis=0)] + parts
+        if idx > 0:
+            delta = (delta @ layers[idx][0].T) * (1.0 - h * h)
+    return loss, np.concatenate(parts)
+
+
+class TestBackpropBits:
+    @pytest.mark.parametrize("m", [1, 32])
+    def test_equals_reference_backprop(self, m):
+        model = MLPModel((20, 64, 64, 10))
+        rng = rng_stream(31)
+        for _ in range(20):
+            w = 0.3 * rng.standard_normal(model.n_params)
+            xs = rng.standard_normal((m, model.d))
+            ys = rng.standard_normal((m, model.n_outputs))
+            loss, grad = model.batch_loss_and_grad(w, xs, ys)
+            ref_loss, ref_grad = reference_backprop(model, w, xs, ys)
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)

@@ -122,6 +122,21 @@ class TestStepKernels:
             potential.step(buf, g, s)
             assert np.allclose(buf, expected, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("q", [1.1, 1.5, 3.0, 10.0])
+    def test_qnorm_step_bit_identical_to_composed_maps(self, q):
+        pot = QNorm(q)
+        rng = rng_stream(22)
+        for _ in range(20):
+            w = rng.standard_normal(64)
+            w[::7] = 0.0
+            g = rng.standard_normal(64)
+            g[3::11] = 0.0
+            for s in (-0.05, 0.0, 0.3):
+                expected = pot.grad_inverse(pot.grad(w) + s * g)
+                buf = w.copy()
+                pot.step(buf, g, s)
+                assert np.array_equal(buf, expected)
+
     def test_entropy_step_rejects_underflow_to_zero(self):
         w = np.array([1e-300])
         g = np.array([-2000.0])
