@@ -73,7 +73,7 @@ def rmd_minibatch_step(state, model, potential, ds, indices, hp):
     if indices.size == 0:
         raise EmptyBatchError("RMD mini-batch update needs at least one sample")
     loss, g = model.batch_loss_and_grad(state.w, ds.X[indices], ds.Y[indices])
-    z_bar = float(np.add.reduce(state.z[indices])) / indices.size  # the mean, cheaper
+    z_bar = float(np.add.reduce(state.z[indices])) / indices.size  # .mean() without its overhead
     r = math.sqrt(2.0 * loss)
     c = hp.eta * (z_bar - r)
     potential.step(state.w, g, c / max(r, hp.epsilon_guard))
