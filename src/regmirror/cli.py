@@ -4,16 +4,16 @@ Subcommands:
   run        train the configured grid and write a metrics CSV
   summarize  reduce a metrics CSV to final accuracies per grid cell
   oracle     solve a seeded linear instance with the ground-truth solvers
-  bench      time the compiled mirror-step kernels against the numpy fallback
+
+Timings come from the repository's benchmark, ``python3 perfbench/run.py``
+(``--trace 1`` adds the per-layer split).
 """
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
-from . import kernels
 from .errors import RegmirrorError
 from .harness import load_config, run_experiment, summarize
 from .numerics import rng_stream
@@ -60,10 +60,6 @@ def _build_parser():
     p_or.add_argument("--seed", type=int, default=0)
     p_or.add_argument("--potential", default="l2")
     p_or.add_argument("--lambda", dest="lam", type=float, default=1.0)
-
-    p_bench = sub.add_parser("bench", help="compare kernel backends")
-    p_bench.add_argument("--sizes", default="1000,10000,100000")
-    p_bench.add_argument("--repeats", type=int, default=200)
     return parser
 
 
@@ -109,53 +105,11 @@ def _cmd_oracle(args):
     print("w =", np.array2string(w, precision=6, max_line_width=100))
 
 
-def _time_kernel(fn, w, g, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        buf = w.copy()
-        start = time.perf_counter()
-        fn(buf)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _cmd_bench(args):
-    backends = {"python": kernels.load_backend("python")}
-    try:
-        backends["cython"] = kernels.load_backend("cython")
-    except ImportError:
-        print("compiled kernels unavailable; timing the fallback only")
-    print(f"active backend: {kernels.BACKEND}")
-    print(f"{'kernel':<10} {'size':>8} " +
-          " ".join(f"{name + ' (us)':>14}" for name in backends) +
-          ("  speedup" if len(backends) == 2 else ""))
-    rng = rng_stream(0)
-    for size in (int(s) for s in args.sizes.split(",")):
-        w = rng.standard_normal(size)
-        g = rng.standard_normal(size)
-        wpos = np.abs(w) + 0.1
-        cases = {
-            "l2": lambda mod, buf: mod.l2_step(buf, g, -0.01),
-            "qnorm(3)": lambda mod, buf: mod.qnorm_step(buf, g, -0.01, 3.0),
-            "entropy": lambda mod, buf: mod.entropy_step(buf, g, -0.01),
-        }
-        for name, call in cases.items():
-            base = wpos if name == "entropy" else w
-            times = [
-                _time_kernel(lambda buf, m=mod: call(m, buf), base, g, args.repeats)
-                for mod in backends.values()
-            ]
-            line = f"{name:<10} {size:>8} " + " ".join(f"{t * 1e6:>14.2f}" for t in times)
-            if len(times) == 2:
-                line += f"  {times[0] / times[1]:>6.2f}x"
-            print(line)
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         {"run": _cmd_run, "summarize": _cmd_summarize,
-         "oracle": _cmd_oracle, "bench": _cmd_bench}[args.command](args)
+         "oracle": _cmd_oracle}[args.command](args)
     except RegmirrorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

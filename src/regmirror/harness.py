@@ -20,7 +20,7 @@ from .data import corrupt_labels, generate_synthetic
 from .errors import ConfigError, DomainError, NonFiniteError, WorkerError
 from .models import MLPModel
 from .numerics import single_blas_thread, spawn_stream
-from .optimizer import ALGORITHMS, HyperParams, run
+from .optimizer import STEPS, HyperParams, run
 from .potentials import SquaredL2, parse_potential
 
 CSV_HEADER = ("experiment_id,algorithm,lambda,eta,seed,epoch,train_loss,"
@@ -80,7 +80,7 @@ class ExperimentConfig:
         if not self.lambdas or not self.etas or not self.algorithms:
             raise ConfigError("algorithm, lambda, and eta grids must be nonempty")
         for alg in self.algorithms:
-            if alg not in ALGORITHMS:
+            if alg not in STEPS:
                 raise ConfigError(f"unknown algorithm {alg!r}")
         if self.model not in ("mlp", "linear"):
             raise ConfigError(f"model must be 'mlp' or 'linear', got {self.model!r}")

@@ -1,12 +1,11 @@
-"""Pure-numpy mirror-step kernels (fallback backend).
+"""Numpy mirror-step kernels, called by ``Potential.step``.
 
 Each kernel applies one fused mirror update in place:
 
     w <- grad_inverse(grad(w) + s * g)
 
 for the corresponding potential, where ``s`` already folds in the
-learning rate and any constraint scaling. The compiled backend in
-``_cykernels`` implements the same contract.
+learning rate and any constraint scaling.
 """
 
 import numpy as np

@@ -25,8 +25,6 @@ from .data import accuracy, label_accuracy
 from .errors import EmptyBatchError, NonFiniteError
 from .models import square_losses
 
-ALGORITHMS = ("sgd", "smd", "rmd", "wd")
-
 
 @dataclasses.dataclass
 class HyperParams:
@@ -49,36 +47,51 @@ class OptimizerState:
     residual_history: list = dataclasses.field(default_factory=list)
 
 
-def sgd_step(state, model, ds, i, hp):
-    """w <- w - eta * grad L_i(w)."""
-    _, g = model.loss_and_grad(state.w, ds.X[i], ds.Y[i])
+def _loss_and_grad(state, model, ds, indices):
+    """Mean loss and mean gradient at state.w over the batch ds[indices]."""
+    if len(indices) == 0:
+        raise EmptyBatchError("a mini-batch update needs at least one sample")
+    return model.batch_loss_and_grad(state.w, ds.X[indices], ds.Y[indices])
+
+
+def sgd_step(state, model, potential, ds, indices, hp):
+    """w <- w - eta * grad L_B(w), with L_B the batch mean loss."""
+    _, g = _loss_and_grad(state, model, ds, indices)
     state.w -= hp.eta * g
     state.step += 1
 
 
-def smd_step(state, model, potential, ds, i, hp):
-    """grad psi(w) <- grad psi(w) - eta * grad L_i(w), then invert."""
-    _, g = model.loss_and_grad(state.w, ds.X[i], ds.Y[i])
+def smd_step(state, model, potential, ds, indices, hp):
+    """grad psi(w) <- grad psi(w) - eta * grad L_B(w), then invert."""
+    _, g = _loss_and_grad(state, model, ds, indices)
     potential.step(state.w, g, -hp.eta)
     state.step += 1
 
 
-def rmd_step(state, model, potential, ds, i, hp):
-    rmd_minibatch_step(state, model, potential, ds, [i], hp)
+def wd_step(state, model, potential, ds, indices, hp):
+    """SGD on lambda * sum_i L_i + 1/2 ||w||^2 with the loss term at unit
+    weight: the decay is w / (lambda * n) per sample."""
+    _, g = _loss_and_grad(state, model, ds, indices)
+    g = g + state.w / (hp.lam * ds.n)
+    state.w -= hp.eta * g
+    state.step += 1
 
 
 def rmd_minibatch_step(state, model, potential, ds, indices, hp):
     """One mini-batch RMD update; batch size 1 recovers the per-sample rule."""
     indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        raise EmptyBatchError("RMD mini-batch update needs at least one sample")
-    loss, g = model.batch_loss_and_grad(state.w, ds.X[indices], ds.Y[indices])
+    loss, g = _loss_and_grad(state, model, ds, indices)
     z_bar = float(np.add.reduce(state.z[indices])) / indices.size  # .mean() without its overhead
     r = math.sqrt(2.0 * loss)
     c = hp.eta * (z_bar - r)
     potential.step(state.w, g, c / max(r, hp.epsilon_guard))
     state.z[indices] -= c / hp.lam
     state.step += 1
+
+
+# One batch update per algorithm, all with the signature
+# (state, model, potential, ds, indices, hp); run() and the tests call these.
+STEPS = {"sgd": sgd_step, "smd": smd_step, "rmd": rmd_minibatch_step, "wd": wd_step}
 
 
 @dataclasses.dataclass
@@ -114,7 +127,7 @@ def run(model, train, algorithm, potential, hp, rng, *, epochs,
     baseline applies the same windowed rule to the training loss.
     Returns per-epoch metrics rows and the reason the run ended.
     """
-    if algorithm not in ALGORITHMS:
+    if algorithm not in STEPS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if hp.batch_size > train.n:
         raise ValueError(f"batch size {hp.batch_size} exceeds n = {train.n}")
@@ -132,25 +145,14 @@ def run(model, train, algorithm, potential, hp, rng, *, epochs,
     state = OptimizerState(w=w, z=z)
     w_init = w.copy()
 
+    step = STEPS[algorithm]
     loss_history = []
     metrics = []
     stop_reason = "budget"
     for epoch in range(1, epochs + 1):
         order = rng.permutation(train.n)
         for start in range(0, train.n, hp.batch_size):
-            batch = order[start:start + hp.batch_size]
-            if algorithm == "rmd":
-                rmd_minibatch_step(state, model, potential, train, batch, hp)
-            else:
-                loss, g = model.batch_loss_and_grad(state.w, train.X[batch], train.Y[batch])
-                if algorithm == "wd":
-                    # SGD on lambda * sum_i L_i + 1/2 ||w||^2 with the loss
-                    # term at unit weight: decay 1 / (lambda * n) per sample
-                    g = g + state.w / (hp.lam * train.n)
-                if algorithm == "smd":
-                    potential.step(state.w, g, -hp.eta)
-                else:
-                    state.w -= hp.eta * g
+            step(state, model, potential, train, order[start:start + hp.batch_size], hp)
         state.epoch = epoch
 
         if not np.all(np.isfinite(state.w)):

@@ -9,7 +9,7 @@ Three geometries are supported:
 
 All maps are coordinate-separable. ``step`` applies the fused mirror
 update ``w <- grad_inverse(grad(w) + s*g)`` in place through the
-compiled kernels when available.
+numpy kernels in ``regmirror.kernels``.
 """
 
 import numpy as np

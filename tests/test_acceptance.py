@@ -21,7 +21,7 @@ from regmirror.data import Dataset, generate_synthetic
 from regmirror.harness import load_config, run_experiment
 from regmirror.models import LinearModel, MLPModel
 from regmirror.numerics import gaussian_matrix, rng_stream, spawn_stream
-from regmirror.optimizer import HyperParams, rmd_minibatch_step, rmd_step, run, smd_step
+from regmirror.optimizer import HyperParams, rmd_minibatch_step, run, smd_step
 from regmirror.optimizer import OptimizerState
 from regmirror.oracle import (InterpolationProblem, RegularizedProblem,
                               min_norm_l2, min_potential_dual,
@@ -119,8 +119,8 @@ def _rmd_smd_deviation(lam, epochs=3):
         order_rng = rng_stream(6)
         for _ in range(epochs):
             for i in order_rng.permutation(ds.n):
-                smd_step(smd, model, pot, ds, i, hp)
-                rmd_step(rmd, model, pot, ds, i, hp)
+                smd_step(smd, model, pot, ds, [i], hp)
+                rmd_minibatch_step(rmd, model, pot, ds, [i], hp)
                 dev = (np.max(np.abs(rmd.w - smd.w))
                        / max(float(np.max(np.abs(smd.w))), 1e-30))
                 worst = max(worst, float(dev))
@@ -259,7 +259,7 @@ def test_c08_potential_invariants(acceptance_record):
     model = LinearModel(p)
     min_w = np.inf
     for step in range(10_000):
-        smd_step(state, model, pot, ds, step % n, hp)
+        smd_step(state, model, pot, ds, [step % n], hp)
         min_w = min(min_w, float(state.w.min()))
     positive = min_w > 0.0 and np.all(np.isfinite(state.w))
     ok = worst_round < 1e-10 and worst_breg >= 0.0 and zero_iff_ok and positive

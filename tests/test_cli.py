@@ -75,9 +75,3 @@ def test_oracle_reference_reports_objective(capsys):
     assert main(["oracle", "--kind", "reference", "--n", "3", "--p", "8",
                  "--potential", "q:3", "--lambda", "0.5"]) == 0
     assert "objective =" in capsys.readouterr().out
-
-
-def test_bench_runs(capsys):
-    assert main(["bench", "--sizes", "64", "--repeats", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "l2" in out and "qnorm(3)" in out and "entropy" in out

@@ -7,8 +7,8 @@ from regmirror.data import Dataset
 from regmirror.errors import DomainError, EmptyBatchError
 from regmirror.models import LinearModel
 from regmirror.numerics import gaussian_matrix, rng_stream
-from regmirror.optimizer import (HyperParams, OptimizerState, rmd_minibatch_step,
-                                 rmd_step, run, sgd_step, smd_step)
+from regmirror.optimizer import (STEPS, HyperParams, OptimizerState, rmd_minibatch_step,
+                                 run, sgd_step, smd_step, wd_step)
 from regmirror.potentials import NegativeEntropy, QNorm, SquaredL2
 
 
@@ -24,25 +24,25 @@ class TestSgdStep:
     def test_single_step(self):
         ds = regression_dataset([[1.0, 0.0]], [1.0])
         state = fresh_state([0.0, 0.0], 1)
-        sgd_step(state, LinearModel(2), ds, 0, HyperParams(eta=0.1))
+        sgd_step(state, LinearModel(2), None, ds, [0], HyperParams(eta=0.1))
         assert np.allclose(state.w, [0.1, 0.0])
         assert state.step == 1
 
     def test_interpolating_point_is_fixed(self):
         ds = regression_dataset([[2.0, 1.0]], [5.0])
         state = fresh_state([2.0, 1.0], 1)
-        sgd_step(state, LinearModel(2), ds, 0, HyperParams(eta=0.1))
+        sgd_step(state, LinearModel(2), None, ds, [0], HyperParams(eta=0.1))
         assert np.array_equal(state.w, [2.0, 1.0])
 
     def test_orthogonal_samples_commute(self):
         ds = regression_dataset([[1.0, 0.0], [0.0, 1.0]], [3.0, -2.0])
         hp = HyperParams(eta=0.05)
         a = fresh_state([0.2, -0.4], 2)
-        sgd_step(a, LinearModel(2), ds, 0, hp)
-        sgd_step(a, LinearModel(2), ds, 1, hp)
+        sgd_step(a, LinearModel(2), None, ds, [0], hp)
+        sgd_step(a, LinearModel(2), None, ds, [1], hp)
         b = fresh_state([0.2, -0.4], 2)
-        sgd_step(b, LinearModel(2), ds, 1, hp)
-        sgd_step(b, LinearModel(2), ds, 0, hp)
+        sgd_step(b, LinearModel(2), None, ds, [1], hp)
+        sgd_step(b, LinearModel(2), None, ds, [0], hp)
         assert np.allclose(a.w, b.w, rtol=0, atol=1e-15)
 
 
@@ -54,15 +54,15 @@ class TestSmdStep:
         w0 = rng.standard_normal(5)
         a, b = fresh_state(w0, 3), fresh_state(w0, 3)
         for i in (0, 2, 1, 0):
-            sgd_step(a, LinearModel(5), ds, i, hp)
-            smd_step(b, LinearModel(5), SquaredL2(), ds, i, hp)
+            sgd_step(a, LinearModel(5), None, ds, [i], hp)
+            smd_step(b, LinearModel(5), SquaredL2(), ds, [i], hp)
         assert np.array_equal(a.w, b.w)
 
     def test_qnorm_hand_update(self):
         # w=[1], grad psi(w)=[1]; eta*gradL=[0.5] -> dual 0.5 -> w=sqrt(0.5)
         ds = regression_dataset([[1.0]], [-4.0])  # gradL = (w - y) = 5 at w=1
         state = fresh_state([1.0], 1)
-        smd_step(state, LinearModel(1), QNorm(3.0), ds, 0, HyperParams(eta=0.1))
+        smd_step(state, LinearModel(1), QNorm(3.0), ds, [0], HyperParams(eta=0.1))
         assert state.w[0] == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_entropy_preserves_positivity(self):
@@ -70,8 +70,21 @@ class TestSmdStep:
         ds = regression_dataset(rng.standard_normal((4, 3)), rng.standard_normal(4))
         state = fresh_state(np.full(3, 0.5), 4)
         for i in (0, 1, 2, 3):
-            smd_step(state, LinearModel(3), NegativeEntropy(), ds, i, HyperParams(eta=0.01))
+            smd_step(state, LinearModel(3), NegativeEntropy(), ds, [i], HyperParams(eta=0.01))
             assert np.all(state.w > 0)
+
+
+class TestWdStep:
+    def test_hand_trace(self):
+        # n = 2, lambda = 2: decay w / 4 = [0.125, 0.5]; sample 0 has
+        # r = 1 - 0.5 = 0.5, grad L = [-0.5, 0] -> g = [-0.375, 0.5];
+        # eta = 0.5 -> w = [0.6875, 1.75] (every value exact in binary)
+        ds = regression_dataset([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
+        state = fresh_state([0.5, 2.0], 2)
+        wd_step(state, LinearModel(2), None, ds, [0], HyperParams(eta=0.5, lam=2.0))
+        assert np.array_equal(state.w, [0.6875, 1.75])
+        assert np.array_equal(state.z, [0.0, 0.0])
+        assert state.step == 1
 
 
 class TestRmdStep:
@@ -79,7 +92,8 @@ class TestRmdStep:
         # L=0.5, r=1, c = 0.1*(0-1) = -0.1, gradL=[-1,0] -> w=[0.1,0], z=[0.1]
         ds = regression_dataset([[1.0, 0.0]], [1.0])
         state = fresh_state([0.0, 0.0], 1)
-        rmd_step(state, LinearModel(2), SquaredL2(), ds, 0, HyperParams(eta=0.1, lam=1.0))
+        rmd_minibatch_step(state, LinearModel(2), SquaredL2(), ds, [0],
+                           HyperParams(eta=0.1, lam=1.0))
         assert np.allclose(state.w, [0.1, 0.0], rtol=1e-14)
         assert state.z[0] == pytest.approx(0.1, rel=1e-14)
 
@@ -87,7 +101,8 @@ class TestRmdStep:
         ds = regression_dataset([[1.0, 0.0]], [1.0])
         state = fresh_state([0.0, 0.0], 1)
         state.z[0] = 1.0  # equals sqrt(2 * 0.5)
-        rmd_step(state, LinearModel(2), SquaredL2(), ds, 0, HyperParams(eta=0.1, lam=1.0))
+        rmd_minibatch_step(state, LinearModel(2), SquaredL2(), ds, [0],
+                           HyperParams(eta=0.1, lam=1.0))
         assert np.array_equal(state.w, [0.0, 0.0])
         assert state.z[0] == 1.0
 
@@ -95,7 +110,8 @@ class TestRmdStep:
         rng = rng_stream(9)
         ds = regression_dataset(rng.standard_normal((5, 4)), rng.standard_normal(5))
         state = fresh_state(rng.standard_normal(4), 5)
-        rmd_step(state, LinearModel(4), SquaredL2(), ds, 2, HyperParams(eta=0.05, lam=1.0))
+        rmd_minibatch_step(state, LinearModel(4), SquaredL2(), ds, [2],
+                           HyperParams(eta=0.05, lam=1.0))
         assert state.z[2] != 0.0
         assert np.array_equal(np.delete(state.z, 2), np.zeros(4))
 
@@ -109,8 +125,8 @@ class TestRmdStep:
         a, b = fresh_state(w0, n), fresh_state(w0, n)
         model = LinearModel(p)
         for i in list(range(n)) * 3:
-            rmd_step(a, model, SquaredL2(), ds, i, hp_rmd)
-            smd_step(b, model, SquaredL2(), ds, i, hp_smd)
+            rmd_minibatch_step(a, model, SquaredL2(), ds, [i], hp_rmd)
+            smd_step(b, model, SquaredL2(), ds, [i], hp_smd)
             denom = max(1e-12, float(np.max(np.abs(b.w))))
             assert np.max(np.abs(a.w - b.w)) / denom < 1e-6
         assert np.max(np.abs(a.z)) <= 1e-9
@@ -131,19 +147,6 @@ class TestRmdStep:
 
 
 class TestMinibatchStep:
-    def test_batch_of_one_equals_single_step(self):
-        rng = rng_stream(14)
-        ds = regression_dataset(rng.standard_normal((4, 6)), rng.standard_normal(4))
-        w0 = rng.standard_normal(6)
-        hp = HyperParams(eta=0.03, lam=1.5)
-        a, b = fresh_state(w0, 4), fresh_state(w0, 4)
-        model = LinearModel(6)
-        for i in (1, 3, 0, 2, 1):
-            rmd_step(a, model, QNorm(3.0), ds, i, hp)
-            rmd_minibatch_step(b, model, QNorm(3.0), ds, [i], hp)
-        assert np.max(np.abs(a.w - b.w)) <= 1e-12
-        assert np.max(np.abs(a.z - b.z)) <= 1e-12
-
     def test_two_sample_hand_trace(self):
         # L1 = 0.5, L2 = 0, z = 0: Lbar = 0.25, c = eta*(0 - sqrt(0.5)).
         ds = regression_dataset([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
@@ -189,6 +192,13 @@ class TestMinibatchStep:
         with pytest.raises(EmptyBatchError):
             rmd_minibatch_step(fresh_state([0.0], 1), LinearModel(1), SquaredL2(),
                                ds, [], HyperParams(eta=0.1))
+
+    @pytest.mark.parametrize("algorithm", sorted(STEPS))
+    def test_every_rule_rejects_empty_batch(self, algorithm):
+        ds = regression_dataset([[1.0]], [1.0])
+        with pytest.raises(EmptyBatchError):
+            STEPS[algorithm](fresh_state([0.5], 1), LinearModel(1), SquaredL2(),
+                             ds, [], HyperParams(eta=0.1))
 
 
 class TestRun:
@@ -250,6 +260,17 @@ class TestRun:
                      HyperParams(eta=0.05, lam=1.0), rng_stream(5),
                      epochs=5000, w0=np.zeros(10), stop_window=50, stop_tol=1e-4)
         assert result.stop_reason == "loss-converged"
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "smd", "rmd", "wd"])
+    def test_state_step_counts_every_update(self, algorithm):
+        rng = rng_stream(32)
+        n, batch_size, epochs = 8, 3, 2
+        ds = regression_dataset(gaussian_matrix(n, 10, rng), rng.standard_normal(n))
+        result = run(LinearModel(10), ds, algorithm, SquaredL2(),
+                     HyperParams(eta=1e-3, lam=1.0, batch_size=batch_size),
+                     rng_stream(8), epochs=epochs, w0=np.zeros(10))
+        assert result.state.epoch == epochs
+        assert result.state.step == epochs * math.ceil(n / batch_size)
 
     def test_budget_stop(self):
         rng = rng_stream(28)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from regmirror import kernels
 from regmirror.errors import DomainError
 from regmirror.numerics import rng_stream
 from regmirror.potentials import NegativeEntropy, QNorm, SquaredL2, parse_potential
@@ -142,31 +141,6 @@ class TestStepKernels:
         g = np.array([-2000.0])
         with pytest.raises(DomainError):
             NegativeEntropy().step(w, g, 1.0)
-
-    def test_backend_parity(self):
-        try:
-            cy = kernels.load_backend("cython")
-        except ImportError:
-            pytest.skip("compiled kernels not built")
-        py = kernels.load_backend("python")
-        rng = rng_stream(3)
-        w = rng.standard_normal(257)
-        g = rng.standard_normal(257)
-        for q in (1.1, 3.0, 10.0):
-            a, b = w.copy(), w.copy()
-            cy.qnorm_step(a, g, -0.05, q)
-            py.qnorm_step(b, g, -0.05, q)
-            assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
-        a, b = w.copy(), w.copy()
-        cy.l2_step(a, g, -0.05)
-        py.l2_step(b, g, -0.05)
-        assert np.array_equal(a, b)
-        wpos = np.abs(w) + 0.1
-        a, b = wpos.copy(), wpos.copy()
-        lo_cy = cy.entropy_step(a, g, -0.05)
-        lo_py = py.entropy_step(b, g, -0.05)
-        assert np.allclose(a, b, rtol=1e-13)
-        assert lo_cy == pytest.approx(lo_py, rel=1e-13)
 
 
 class TestParse:
