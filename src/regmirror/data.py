@@ -49,13 +49,18 @@ def label_accuracy(out, labels):
     return 100.0 * float(np.mean(np.argmax(out, axis=1) == labels))
 
 
-def accuracy(model, w, ds):
-    """Percent of samples whose argmax head matches the class label."""
+def accuracy(model, w, ds, buffers=None):
+    """Percent of samples whose argmax head matches the class label.
+
+    ``buffers`` (from ``model.predict_buffers``) receive the forward pass.
+    """
     if ds.labels is None:
         raise ValueError("dataset has no class labels")
     if ds.n == 0:
         return float("nan")
-    return label_accuracy(model.batch_predict(w, ds.X), ds.labels)
+    if buffers is None:
+        return label_accuracy(model.batch_predict(w, ds.X), ds.labels)
+    return label_accuracy(model.batch_predict(w, ds.X, buffers), ds.labels)
 
 
 def generate_synthetic(classes, n_train, n_test, d, noise, rng, separation=3.0):

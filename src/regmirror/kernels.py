@@ -16,11 +16,16 @@ def l2_step(w, g, s):
 
 
 def qnorm_step(w, g, s, q):
-    # in-place ** keeps numpy's square and sqrt fast paths (q = 3);
+    # in-place ** keeps numpy's sqrt fast path for the inverse at q = 3;
     # copysign differs from sign(x) * |x| only in the sign of an exact zero
     dual = np.abs(w)
-    dual **= q - 1.0
-    np.copysign(dual, w, out=dual)
+    if q == 3.0:
+        # |w| * w is copysign(|w|**2, w) to the bit, signed zeros included:
+        # one rounding of |w| * |w|, sign from w; numpy's copysign is a slow loop
+        dual *= w
+    else:
+        dual **= q - 1.0
+        np.copysign(dual, w, out=dual)
     np.multiply(s, g, out=w)
     dual += w
     np.abs(dual, out=w)

@@ -54,8 +54,15 @@ class LinearModel:
     def loss_grad(self, w, x, y):
         return self.loss_and_grad(w, x, y)[1]
 
-    def batch_predict(self, w, xs):
-        return xs @ w
+    def predict_buffers(self, rows):
+        """Output buffer for ``batch_predict`` on up to ``rows`` rows."""
+        return [np.empty(rows)]
+
+    def batch_predict(self, w, xs, buffers=None):
+        """Predictions x @ w per row, written into ``buffers`` when given."""
+        if buffers is None:
+            return xs @ w
+        return np.dot(xs, w, out=buffers[0][:len(xs)])
 
     def batch_loss_and_grad(self, w, xs, ys):
         """Mean loss and mean gradient over a batch (xs: (m,d), ys: (m,))."""
@@ -84,14 +91,19 @@ class MLPModel:
         self.n_outputs = widths[-1]
         self._shapes = [(widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
         self.n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in self._shapes)
+        self._split = (None, None)  # the last weight vector and its layer views
 
     def init_weights(self, rng, scale=0.01):
         return scale * rng.standard_normal(self.n_params)
 
     def _layers(self, w):
+        """(matrix, bias) views into ``w`` per layer, split once per weight vector."""
         if w.shape != (self.n_params,):
             raise DimensionMismatchError(
                 f"MLP{self.widths} expects {self.n_params} parameters, got {w.shape}")
+        last, layers = self._split
+        if w is last:  # views see in-place updates of w
+            return layers
         layers = []
         pos = 0
         for fan_in, fan_out in self._shapes:
@@ -100,21 +112,25 @@ class MLPModel:
             bias = w[pos:pos + fan_out]
             pos += fan_out
             layers.append((mat, bias))
+        self._split = (w, layers)
         return layers
 
-    def _forward(self, layers, xs):
-        """Forward pass over a batch; returns hidden activations + outputs."""
+    def _forward(self, layers, xs, buffers=None):
+        """Forward pass over a batch; returns hidden activations + outputs.
+
+        With ``buffers`` (from ``predict_buffers``) each layer's output is
+        written into the leading rows of its buffer instead of a new array.
+        """
+        rows = xs.shape[0]
         hidden = [xs]
         h = xs
-        for mat, bias in layers[:-1]:
-            h = h @ mat
+        for i, (mat, bias) in enumerate(layers):
+            h = np.dot(h, mat, out=None if buffers is None else buffers[i][:rows])
             h += bias
-            np.tanh(h, out=h)
-            hidden.append(h)
-        mat, bias = layers[-1]
-        out = h @ mat
-        out += bias
-        return hidden, out
+            if i < len(layers) - 1:
+                np.tanh(h, out=h)
+                hidden.append(h)
+        return hidden, h
 
     def predict(self, w, x):
         x = np.asarray(x, dtype=float)
@@ -124,8 +140,16 @@ class MLPModel:
         out = out[0]
         return float(out[0]) if self.n_outputs == 1 else out
 
-    def batch_predict(self, w, xs):
-        _, out = self._forward(self._layers(w), xs)
+    def predict_buffers(self, rows):
+        """One output buffer per layer for ``batch_predict`` on up to ``rows`` rows.
+
+        Evaluation reuses them every epoch: freed (rows, width) temporaries
+        would hand their pages back to the kernel and fault in again.
+        """
+        return [np.empty((rows, fan_out)) for _, fan_out in self._shapes]
+
+    def batch_predict(self, w, xs, buffers=None):
+        _, out = self._forward(self._layers(w), xs, buffers)
         return out[:, 0] if self.n_outputs == 1 else out
 
     def loss(self, w, x, y):
@@ -167,7 +191,7 @@ class MLPModel:
             # np.dot, not @: at batch 1 matmul skips BLAS for a slower loop
             np.dot(h.T, delta, out=grad[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
             if idx > 0:
-                delta = (delta @ mat.T) * (1.0 - h * h)
+                delta = np.dot(delta, mat.T) * (1.0 - h * h)
         return loss, grad
 
     def sample_losses(self, w, xs, ys):

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .data import accuracy, label_accuracy
+from .data import Dataset, accuracy, label_accuracy
 from .errors import EmptyBatchError, NonFiniteError
 from .models import square_losses
 
@@ -48,10 +48,15 @@ class OptimizerState:
 
 
 def _loss_and_grad(state, model, ds, indices):
-    """Mean loss and mean gradient at state.w over the batch ds[indices]."""
-    if len(indices) == 0:
+    """Mean loss and mean gradient at state.w over the batch ds[indices].
+
+    ``indices`` is a slice (run() passes contiguous rows) or a sequence of
+    sample indices such as ``[i]``.
+    """
+    xs = ds.X[indices]
+    if len(xs) == 0:
         raise EmptyBatchError("a mini-batch update needs at least one sample")
-    return model.batch_loss_and_grad(state.w, ds.X[indices], ds.Y[indices])
+    return model.batch_loss_and_grad(state.w, xs, ds.Y[indices])
 
 
 def sgd_step(state, model, potential, ds, indices, hp):
@@ -79,9 +84,9 @@ def wd_step(state, model, potential, ds, indices, hp):
 
 def rmd_minibatch_step(state, model, potential, ds, indices, hp):
     """One mini-batch RMD update; batch size 1 recovers the per-sample rule."""
-    indices = np.asarray(indices, dtype=int)
     loss, g = _loss_and_grad(state, model, ds, indices)
-    z_bar = float(np.add.reduce(state.z[indices])) / indices.size  # .mean() without its overhead
+    z = state.z[indices]
+    z_bar = float(np.add.reduce(z)) / len(z)  # .mean() without its overhead
     r = math.sqrt(2.0 * loss)
     c = hp.eta * (z_bar - r)
     potential.step(state.w, g, c / max(r, hp.epsilon_guard))
@@ -145,25 +150,41 @@ def run(model, train, algorithm, potential, hp, rng, *, epochs,
     state = OptimizerState(w=w, z=z)
     w_init = w.copy()
 
+    # Each epoch gathers X, Y and z in its shuffled order, so every step
+    # reads a contiguous slice; z goes back to sample order after the epoch.
+    # take(mode="clip") writes straight into out ("raise" copies through a
+    # temporary); a permutation never needs clipping.
+    shuffled = Dataset(X=np.empty(train.X.shape, dtype=train.X.dtype),
+                       Y=np.empty(train.Y.shape, dtype=train.Y.dtype))
+    z_shuffled = np.empty_like(z)
+    # Both evaluation forwards write into one set of buffers.
+    buffers = model.predict_buffers(max(train.n, 0 if test is None else test.n))
     step = STEPS[algorithm]
     loss_history = []
     metrics = []
     stop_reason = "budget"
     for epoch in range(1, epochs + 1):
         order = rng.permutation(train.n)
+        np.take(train.X, order, axis=0, out=shuffled.X, mode="clip")
+        np.take(train.Y, order, axis=0, out=shuffled.Y, mode="clip")
+        np.take(z, order, out=z_shuffled, mode="clip")
+        state.z = z_shuffled
         for start in range(0, train.n, hp.batch_size):
-            step(state, model, potential, train, order[start:start + hp.batch_size], hp)
+            step(state, model, potential, shuffled, slice(start, start + hp.batch_size), hp)
+        z[order] = z_shuffled
+        state.z = z
         state.epoch = epoch
 
         if not np.all(np.isfinite(state.w)):
             raise NonFiniteError(f"non-finite weights at epoch {epoch}")
 
-        out = model.batch_predict(state.w, train.X)  # one train forward per epoch
+        out = model.batch_predict(state.w, train.X, buffers)  # one train forward per epoch
         losses = square_losses(out, train.Y)
         train_loss = float(losses.mean())
         train_acc = (label_accuracy(out, train.labels) if train.labels is not None
                      else float("nan"))
-        test_acc = (accuracy(model, state.w, test)
+        # the test forward overwrites the train outputs, which are consumed above
+        test_acc = (accuracy(model, state.w, test, buffers)
                     if test is not None and test.labels is not None else float("nan"))
         residual = float("nan")
         if algorithm == "rmd":

@@ -226,6 +226,25 @@ def regularized_objective(rp, w):
 # rounding of f itself (a few ulps of each of its terms).
 _FLAT_DECREASE = 64 * np.finfo(float).eps
 
+# Fraction to the boundary: a negative-entropy step keeps every
+# coordinate at no less than this share of its current value, so Newton
+# never leaves w > 0 even when the minimizer lies orders of magnitude
+# below the start.
+_BOUNDARY_SHARE = 0.01
+
+
+def _max_step(potential, w, step):
+    """Largest t <= 1 keeping w + t * step inside the potential's domain.
+
+    Only the negative entropy has a boundary; every other potential gets 1.
+    """
+    if not isinstance(potential, NegativeEntropy):
+        return 1.0
+    shrink = step < 0.0
+    if not np.any(shrink):
+        return 1.0
+    return min(1.0, float(np.min((1.0 - _BOUNDARY_SHARE) * w[shrink] / -step[shrink])))
+
 
 def regularized_reference(rp, grad_tol=1e-9, max_iter=5000):
     """High-precision minimizer of the regularized batch objective.
@@ -233,7 +252,9 @@ def regularized_reference(rp, grad_tol=1e-9, max_iter=5000):
     Damped Newton with an adaptive Tikhonov shift and Armijo
     backtracking on the exact objective; the potential contributes only
     its separable curvature, so the Hessian is lam X^T X plus a
-    diagonal. Independent of every stochastic code path.
+    diagonal. Independent of every stochastic code path. For the
+    negative entropy the Newton system is Jacobi-scaled and every step is
+    capped at a fraction to the boundary (``_max_step``).
     """
     x, y = rp.problem.X, rp.problem.y
     p = x.shape[1]
@@ -262,10 +283,17 @@ def regularized_reference(rp, grad_tol=1e-9, max_iter=5000):
         if grad_norm < grad_tol:
             return w
         hess = rp.lam * xtx + np.diag(rp.potential.curvature(w))
+        # Entropy curvature 1/w can span dozens of orders of magnitude,
+        # which the elimination's pivot test reads as singular; solve the
+        # Jacobi-scaled system D H D u = -D g, step = D u, for it instead
+        # (D = 1 leaves every other potential's step unchanged to the bit).
+        d = (1.0 / np.sqrt(np.diag(hess)) if isinstance(rp.potential, NegativeEntropy)
+             else np.ones(p))
+        hess = d[:, None] * hess * d
         shift = 0.0
         while True:
             try:
-                step = solve_linear_system(hess + shift * np.eye(p), -grad)
+                step = d * solve_linear_system(hess + shift * np.eye(p), -d * grad)
                 break
             except Exception:
                 shift = max(10.0 * shift, 1e-10)
@@ -277,12 +305,12 @@ def regularized_reference(rp, grad_tol=1e-9, max_iter=5000):
             # gradient it leaves instead.
             # A step that leaves the potential's domain has f = inf and
             # no gradient; it goes to the backtracking below.
-            w_try = w + step
+            w_try = w + _max_step(rp.potential, w, step) * step
             f_try = objective(w_try)
             if f_try < float("inf") and float(np.max(np.abs(gradient(w_try)))) < grad_norm:
                 w, f = w_try, f_try
                 continue
-        t = 1.0
+        t = _max_step(rp.potential, w, step)
         while t > 1e-16:
             f_try = objective(w + t * step)
             if f_try <= f + 1e-4 * t * decrease:
@@ -290,8 +318,8 @@ def regularized_reference(rp, grad_tol=1e-9, max_iter=5000):
             t *= 0.5
         else:
             # Newton direction rejected; fall back to a plain gradient step.
-            t = 1.0
             step = -grad
+            t = _max_step(rp.potential, w, step)
             decrease = -float(grad @ grad)
             while t > 1e-16 and objective(w + t * step) > f + 1e-4 * t * decrease:
                 t *= 0.5

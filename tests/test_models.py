@@ -156,3 +156,37 @@ class TestBackpropBits:
             ref_loss, ref_grad = reference_backprop(model, w, xs, ys)
             assert loss == ref_loss
             assert np.array_equal(grad, ref_grad)
+
+
+class TestBufferedPredict:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: LinearModel(5), id="linear"),
+        pytest.param(lambda: MLPModel((5, 7, 1)), id="mlp-1-hidden-k1"),
+        pytest.param(lambda: MLPModel((5, 7, 10)), id="mlp-1-hidden-k10"),
+        pytest.param(lambda: MLPModel((5, 7, 6, 1)), id="mlp-2-hidden-k1"),
+        pytest.param(lambda: MLPModel((5, 7, 6, 10)), id="mlp-2-hidden-k10"),
+    ])
+    def test_bit_identical_to_allocating_predict(self, make):
+        model = make()
+        rng = rng_stream(41)
+        buffers = model.predict_buffers(12)
+        for rows in (12, 5, 1):  # full buffer, then fewer rows than it holds
+            w = 0.5 * rng.standard_normal(model.n_params)
+            xs = rng.standard_normal((rows, model.d))
+            out = model.batch_predict(w, xs, buffers)
+            assert np.shares_memory(out, buffers[-1])
+            assert np.array_equal(out, model.batch_predict(w, xs))
+            assert np.array_equal(out, model.batch_predict(w.copy(), xs))
+
+    def test_layer_views_follow_the_weight_vector(self):
+        model = MLPModel((3, 4, 2))
+        rng = rng_stream(42)
+        xs = rng.standard_normal((6, 3))
+        w = rng.standard_normal(model.n_params)
+        model.batch_predict(w, xs)
+        w *= 0.5  # in place: the cached views must see it
+        assert np.array_equal(model.batch_predict(w, xs), model.batch_predict(w.copy(), xs))
+        with pytest.raises(DimensionMismatchError):
+            model.batch_predict(np.zeros(model.n_params + 1), xs)
+        with pytest.raises(DimensionMismatchError):
+            model.batch_loss_and_grad(w.reshape(2, -1), xs, rng.standard_normal((6, 2)))

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from regmirror.data import Dataset
+from regmirror.data import Dataset, accuracy, generate_synthetic, label_accuracy
 from regmirror.errors import DomainError, EmptyBatchError
-from regmirror.models import LinearModel
+from regmirror.models import LinearModel, MLPModel, square_losses
 from regmirror.numerics import gaussian_matrix, rng_stream
 from regmirror.optimizer import (STEPS, HyperParams, OptimizerState, rmd_minibatch_step,
                                  run, sgd_step, smd_step, wd_step)
@@ -200,6 +200,14 @@ class TestMinibatchStep:
             STEPS[algorithm](fresh_state([0.5], 1), LinearModel(1), SquaredL2(),
                              ds, [], HyperParams(eta=0.1))
 
+    @pytest.mark.parametrize("algorithm", sorted(STEPS))
+    def test_every_rule_rejects_empty_slice(self, algorithm):
+        ds = regression_dataset([[1.0], [2.0]], [1.0, 0.0])
+        for empty in (slice(0, 0), slice(2, 4)):
+            with pytest.raises(EmptyBatchError):
+                STEPS[algorithm](fresh_state([0.5], 2), LinearModel(1), SquaredL2(),
+                                 ds, empty, HyperParams(eta=0.1))
+
 
 class TestRun:
     def test_sgd_interpolates_overparameterized(self):
@@ -300,3 +308,56 @@ class TestRun:
             assert ra["train_loss"] == rb["train_loss"]
             assert ra["constraint_residual"] == rb["constraint_residual"]
             assert ra["bregman_from_init"] == rb["bregman_from_init"]
+
+
+def index_array_run(model, train, algorithm, potential, hp, rng, epochs, test):
+    """run() without contiguous epoch batches or evaluation buffers: each
+    step gets the index array order[s:s + b] of the unshuffled data, and
+    every forward allocates. Returns the final state and metrics rows."""
+    w = model.init_weights(rng, 0.01)
+    w += potential.grad_inverse(np.zeros_like(w))
+    state = OptimizerState(w=w, z=np.zeros(train.n))
+    w_init = w.copy()
+    rows = []
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(train.n)
+        for s in range(0, train.n, hp.batch_size):
+            STEPS[algorithm](state, model, potential, train, order[s:s + hp.batch_size], hp)
+        out = model.batch_predict(state.w, train.X)
+        losses = square_losses(out, train.Y)
+        residual = float("nan")
+        if algorithm == "rmd":
+            residual = float(np.sum(np.abs(state.z - np.sqrt(2.0 * losses))))
+        rows.append({
+            "epoch": epoch,
+            "train_loss": float(losses.mean()),
+            "train_accuracy": label_accuracy(out, train.labels),
+            "test_accuracy": accuracy(model, state.w, test),
+            "constraint_residual": residual,
+            "bregman_from_init": potential.bregman(state.w, w_init),
+        })
+    return state, rows
+
+
+class TestRunMatchesIndexArrayLoop:
+    @pytest.mark.parametrize("potential", [SquaredL2(), QNorm(3.0)], ids=["l2", "q3"])
+    @pytest.mark.parametrize("batch_size", [1, 3])  # 3 leaves a ragged last batch of 10
+    @pytest.mark.parametrize("algorithm", ["sgd", "smd", "rmd", "wd"])
+    def test_bit_identical(self, algorithm, batch_size, potential):
+        train, test = generate_synthetic(3, 10, 7, 4, 1.5, rng_stream(40), separation=1.0)
+        model = MLPModel((4, 5, 3))
+        hp = HyperParams(eta=0.05, lam=0.7, batch_size=batch_size)
+        epochs = 4
+        result = run(model, train, algorithm, potential, hp, rng_stream(41), epochs=epochs,
+                     test=test, stop_window=epochs)
+        state, rows = index_array_run(model, train, algorithm, potential, hp, rng_stream(41),
+                                      epochs, test)
+        assert len(result.metrics) == epochs
+        assert np.array_equal(result.state.w, state.w)
+        assert np.array_equal(result.state.z, state.z)
+        assert result.state.step == state.step
+        if algorithm == "rmd":
+            assert np.any(state.z != 0.0)
+        for got, want in zip(result.metrics, rows):
+            assert got.keys() == want.keys()
+            assert np.array_equal(list(got.values()), list(want.values()), equal_nan=True)

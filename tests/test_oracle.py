@@ -15,6 +15,13 @@ def random_problem(n, p, seed):
     return InterpolationProblem(gaussian_matrix(n, p, rng), rng.standard_normal(n))
 
 
+def _seeded_instance(seed, n, p):
+    """Standard-normal X (n x p), then y, as ``regmirror oracle`` draws them."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    return x, rng.standard_normal(n)
+
+
 class TestMinNormL2:
     def test_symmetric_row(self):
         w = min_norm_l2(InterpolationProblem(np.array([[1.0, 1.0]]), np.array([2.0])))
@@ -166,6 +173,24 @@ class TestRegularizedReference:
         w = regularized_reference(rp)
         g = 50.0 * x.T @ (x @ w - y) + rp.potential.grad(w)
         assert w[0] > 0.0
+        assert np.max(np.abs(g)) < 1e-9
+
+    @pytest.mark.parametrize("lam,make", [
+        # raised MaxIterationsError at gradient 11: the 1/w curvature
+        # (1e27 near w[0] = 3.3e-27) made the pivot test read the Hessian
+        # as singular, and the growing shift stalled every step
+        pytest.param(50.0, lambda: (np.array([[1.0, 0.5], [0.0, 1.0]]),
+                                    np.array([-1.0, 1.0])), id="2x2"),
+        # raised DomainError: a damped step reached w <= 0
+        pytest.param(100.0, lambda: _seeded_instance([9, 10, 30], 10, 30), id="10x30"),
+    ])
+    def test_entropy_minimizer_far_below_start(self, lam, make):
+        x, y = make()
+        rp = RegularizedProblem(InterpolationProblem(x, y), lam, NegativeEntropy())
+        w = regularized_reference(rp)
+        g = lam * x.T @ (x @ w - y) + rp.potential.grad(w)
+        assert np.all(w > 0.0)
+        assert np.min(w) < 1e-20  # the minimizer is orders of magnitude below the start
         assert np.max(np.abs(g)) < 1e-9
 
     def test_objective_beats_training_run_value(self):
