@@ -10,31 +10,23 @@ Timings come from the repository's benchmark, ``python3 perfbench/run.py``
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from .errors import RegmirrorError
-from .harness import load_config, run_experiment, summarize
+from .harness import ExperimentConfig, load_config, run_experiment, summarize
 from .numerics import rng_stream
 from .oracle import (InterpolationProblem, RegularizedProblem, min_norm_l2,
                      min_potential_dual, regularized_objective,
                      regularized_reference, ridge_closed_form)
 from .potentials import SquaredL2, parse_potential
 
-_OVERRIDES = {
-    "lambda": "lambdas",
-    "eta": "etas",
-    "potential": "potential",
-    "algorithm": "algorithms",
-    "corruption": "corruption",
-    "seed": "seed",
-    "batch_size": "batch_size",
-    "epochs": "epochs",
-    "stop_window": "stop_window",
-    "stop_tol": "stop_tol",
-    "out": "out",
-}
+
+def _flag_fields():
+    """The ``ExperimentConfig`` fields that have a ``regmirror run`` flag."""
+    return [field for field in dataclasses.fields(ExperimentConfig) if field.metadata["flag"]]
 
 
 def _build_parser():
@@ -45,8 +37,8 @@ def _build_parser():
     p_run.add_argument("config")
     p_run.add_argument("--force", action="store_true",
                        help="overwrite an existing output CSV")
-    for flag in _OVERRIDES:
-        p_run.add_argument(f"--{flag.replace('_', '-')}", dest=f"ov_{flag}")
+    for field in _flag_fields():
+        p_run.add_argument(field.metadata["flag"], dest=field.name)
 
     p_sum = sub.add_parser("summarize", help="summarize a metrics CSV")
     p_sum.add_argument("csv")
@@ -64,11 +56,8 @@ def _build_parser():
 
 
 def _cmd_run(args):
-    overrides = {}
-    for flag, key in _OVERRIDES.items():
-        value = getattr(args, f"ov_{flag}")
-        if value is not None:
-            overrides[key] = value
+    overrides = {field.name: getattr(args, field.name) for field in _flag_fields()
+                 if getattr(args, field.name) is not None}
     cfg = load_config(args.config, overrides)
     run_experiment(cfg, force=args.force)
     print(f"wrote {cfg.out}")
@@ -87,7 +76,10 @@ def _cmd_oracle(args):
     x = rng.standard_normal((args.n, args.p))
     y = rng.standard_normal(args.n)
     problem = InterpolationProblem(x, y)
-    potential = parse_potential(args.potential)
+    try:
+        potential = parse_potential(args.potential)
+    except ValueError as exc:
+        raise RegmirrorError(f"bad value for 'potential': {args.potential!r} ({exc})") from exc
     if args.kind == "minnorm":
         w = min_norm_l2(problem)
     elif args.kind == "dual":

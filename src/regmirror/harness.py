@@ -1,11 +1,15 @@
 """Experiment orchestration: config files, grid sweeps, metrics CSV.
 
 Config files are flat ``key = value`` text ('#' starts a comment).
-Every key has a default; command-line flags override file values. A
-grid runs one training per (algorithm, lambda, eta) cell with a cell-
-local random stream derived from (seed, cell index), so the metrics CSV
-is byte-stable for a fixed config and seed, however many processes
-share the cells.
+The fields of ``ExperimentConfig`` define the keys: each carries its
+default, the parser of its text and, for the keys ``regmirror run``
+can override, its flag. Bad values raise ``ConfigError`` naming the
+key, before anything runs.
+
+A grid runs one training per (algorithm, lambda, eta) cell with a
+cell-local random stream derived from (seed, cell index), so the
+metrics CSV is byte-stable for a fixed config and seed, however many
+processes share the cells.
 """
 
 import contextlib
@@ -27,64 +31,72 @@ CSV_HEADER = ("experiment_id,algorithm,lambda,eta,seed,epoch,train_loss,"
               "train_accuracy,test_accuracy,constraint_residual,"
               "bregman_from_init,stop_reason")
 
-_DEFAULTS = {
-    "model": "mlp",
-    "hidden": "64,64",
-    "classes": "10",
-    "n_train": "500",
-    "n_test": "500",
-    "input_dim": "20",
-    "noise": "0.3",
-    "separation": "8.0",
-    "corruption": "0.0",
-    "algorithms": "sgd,rmd,wd",
-    "lambdas": "0.7,1.0,1.3,1.6,2.0",
-    "etas": "0.001,0.01,0.1",
-    "potential": "l2",
-    "batch_size": "32",
-    "epochs": "2000",
-    "stop_window": "500",
-    "stop_tol": "1e-4",
-    "seed": "0",
-    "init_scale": "0.01",
-    "out": "metrics.csv",
-}
+
+def _widths(text):
+    return tuple(int(v) for v in text.split(",") if v.strip())  # drops empty items
+
+
+def _reals(text):
+    return tuple(float(v) for v in text.split(","))  # rejects empty items
+
+
+def _names(text):
+    return tuple(v.strip() for v in text.split(","))  # keeps empty items
+
+
+def _key(default, parse, flag=None):
+    """A config key: its default, the parser of its text, its ``regmirror run`` flag."""
+    return dataclasses.field(default=default, metadata={"parse": parse, "flag": flag})
 
 
 @dataclasses.dataclass
 class ExperimentConfig:
-    model: str = "mlp"
-    hidden: tuple = (64, 64)
-    classes: int = 10
-    n_train: int = 500
-    n_test: int = 500
-    input_dim: int = 20
-    noise: float = 0.3
-    separation: float = 8.0
-    corruption: float = 0.0
-    algorithms: tuple = ("sgd", "rmd", "wd")
-    lambdas: tuple = (0.7, 1.0, 1.3, 1.6, 2.0)
-    etas: tuple = (0.001, 0.01, 0.1)
-    potential: str = "l2"
-    batch_size: int = 32
-    epochs: int = 2000
-    stop_window: int = 500
-    stop_tol: float = 1e-4
-    seed: int = 0
-    init_scale: float = 0.01
-    out: str = "metrics.csv"
+    """The config keys; each field is the one definition of its key."""
+
+    model: str = _key("mlp", str)
+    hidden: tuple = _key((64, 64), _widths)
+    classes: int = _key(10, int)
+    n_train: int = _key(500, int)
+    n_test: int = _key(500, int)
+    input_dim: int = _key(20, int)
+    noise: float = _key(0.3, float)
+    separation: float = _key(8.0, float)
+    corruption: float = _key(0.0, float, "--corruption")
+    algorithms: tuple = _key(("sgd", "rmd", "wd"), _names, "--algorithm")
+    lambdas: tuple = _key((0.7, 1.0, 1.3, 1.6, 2.0), _reals, "--lambda")
+    etas: tuple = _key((0.001, 0.01, 0.1), _reals, "--eta")
+    potential: str = _key("l2", str, "--potential")
+    batch_size: int = _key(32, int, "--batch-size")
+    epochs: int = _key(2000, int, "--epochs")
+    stop_window: int = _key(500, int, "--stop-window")
+    stop_tol: float = _key(1e-4, float, "--stop-tol")
+    seed: int = _key(0, int, "--seed")
+    init_scale: float = _key(0.01, float)
+    out: str = _key("metrics.csv", str, "--out")
 
     def __post_init__(self):
+        for key, low in (("classes", 2), ("n_train", 1), ("n_test", 0), ("input_dim", 1),
+                         ("batch_size", 1), ("epochs", 1), ("stop_window", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
         if not 0.0 <= self.corruption <= 1.0:
             raise ConfigError(f"corruption must lie in [0, 1], got {self.corruption}")
         if not self.lambdas or not self.etas or not self.algorithms:
             raise ConfigError("algorithm, lambda, and eta grids must be nonempty")
+        for key in ("lambdas", "etas"):
+            if not all(v > 0.0 for v in getattr(self, key)):
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
         for alg in self.algorithms:
             if alg not in STEPS:
                 raise ConfigError(f"unknown algorithm {alg!r}")
         if self.model not in ("mlp", "linear"):
             raise ConfigError(f"model must be 'mlp' or 'linear', got {self.model!r}")
-        parse_potential(self.potential)
+        if self.model == "mlp" and not all(v >= 1 for v in self.hidden):
+            raise ConfigError(f"hidden widths must be at least 1, got {self.hidden}")
+        try:
+            parse_potential(self.potential)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for 'potential': {self.potential!r} ({exc})") from exc
 
     def build_model(self):
         if self.model == "linear":
@@ -93,30 +105,16 @@ class ExperimentConfig:
         return MLPModel((self.input_dim, *self.hidden, self.classes))
 
 
-def _coerce(key, text):
-    text = text.strip()
-    try:
-        if key in ("classes", "n_train", "n_test", "input_dim", "batch_size",
-                   "epochs", "stop_window", "seed"):
-            return int(text)
-        if key in ("noise", "separation", "corruption", "stop_tol", "init_scale"):
-            return float(text)
-        if key == "hidden":
-            return tuple(int(v) for v in text.split(",") if v.strip())
-        if key in ("lambdas", "etas"):
-            return tuple(float(v) for v in text.split(","))
-        if key == "algorithms":
-            return tuple(v.strip() for v in text.split(","))
-        if key in ("model", "potential", "out"):
-            return text
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc
-    raise ConfigError(f"unknown config key {key!r}")
+_FIELDS = {field.name: field for field in dataclasses.fields(ExperimentConfig)}
 
 
 def load_config(path, overrides=None):
-    """Parse a key = value config file, then apply override pairs."""
-    values = dict(_DEFAULTS)
+    """Parse a key = value config file, then apply override pairs.
+
+    Keys left out keep their ``ExperimentConfig`` default; override
+    values may be text or anything whose ``str`` parses, such as an int.
+    """
+    texts = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -125,14 +123,21 @@ def load_config(path, overrides=None):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, text = (part.strip() for part in line.split("=", 1))
-            if key not in values:
+            if key not in _FIELDS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = text
+            texts[key] = text
     for key, text in (overrides or {}).items():
-        if key not in values:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown override key {key!r}")
-        values[key] = str(text)
-    return ExperimentConfig(**{key: _coerce(key, text) for key, text in values.items()})
+        texts[key] = str(text)
+    values = {}
+    for key, text in texts.items():
+        text = text.strip()
+        try:
+            values[key] = _FIELDS[key].metadata["parse"](text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc
+    return ExperimentConfig(**values)
 
 
 def build_datasets(cfg):

@@ -116,14 +116,16 @@ def _window_converged(history, window, tol):
 
 
 def run(model, train, algorithm, potential, hp, rng, *, epochs,
-        anchor=None, w0=None, init_scale=0.01, z_random=False,
-        stop_window=500, stop_tol=1e-4, interp_tol=1e-8, test=None):
+        w0=None, init_scale=0.01, stop_window=500, stop_tol=1e-4,
+        interp_tol=1e-8, test=None):
     """Train on ``train`` for up to ``epochs`` shuffled full passes.
 
-    Initialization: exactly at ``anchor`` when given, else at ``w0``,
-    else at argmin psi (0 for l2 and q-norms, e^-1 per coordinate for
-    entropy) plus Gaussian noise with standard deviation ``init_scale``.
-    The auxiliary z starts at zero (or near zero with ``z_random``).
+    Initialization: exactly at ``w0`` when given, else at argmin psi
+    (0 for l2 and q-norms, e^-1 per coordinate for entropy) plus Gaussian
+    noise with standard deviation ``init_scale``. Starting at ``w0`` is
+    how RMD regularizes toward a desired weight vector, e.g. a previous
+    task's solution in continual learning: its limit then minimizes
+    lambda * sum_i L_i(w) + D_psi(w, w0). The auxiliary z starts at zero.
 
     Stopping: SGD and SMD halt at interpolation (100% train accuracy,
     or max residual below ``interp_tol`` for label-free data); RMD halts
@@ -137,16 +139,13 @@ def run(model, train, algorithm, potential, hp, rng, *, epochs,
     if hp.batch_size > train.n:
         raise ValueError(f"batch size {hp.batch_size} exceeds n = {train.n}")
 
-    if anchor is not None:
-        w = np.array(anchor, dtype=float)
-    elif w0 is not None:
+    if w0 is not None:
         w = np.array(w0, dtype=float)
     else:
         w = model.init_weights(rng, init_scale)
         w += potential.grad_inverse(np.zeros_like(w))  # argmin psi
     potential.check_domain(w)
-    z = (init_scale * rng.standard_normal(train.n) if z_random
-         else np.zeros(train.n))
+    z = np.zeros(train.n)
     state = OptimizerState(w=w, z=z)
     w_init = w.copy()
 

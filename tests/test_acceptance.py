@@ -191,7 +191,7 @@ def test_c06_continual_learning_anchor(acceptance_record):
     ds = Dataset(X=x, Y=y)
     hp = HyperParams(eta=2e-3, lam=1.0, batch_size=1)
     res = run(LinearModel(p), ds, "rmd", SquaredL2(), hp, rng_stream(8),
-              epochs=20_000, anchor=w_reg, stop_window=200, stop_tol=1e-9)
+              epochs=20_000, w0=w_reg, stop_window=200, stop_tol=1e-9)
     wstar = ridge_closed_form(
         RegularizedProblem(InterpolationProblem(x, y), 1.0, SquaredL2(), w_reg))
     rel = float(np.linalg.norm(res.state.w - wstar) / np.linalg.norm(wstar))

@@ -1,6 +1,9 @@
-import numpy as np
+import re
 
-from regmirror import harness, optimizer
+import numpy as np
+import pytest
+
+from regmirror import cli, harness, optimizer
 from regmirror.cli import main
 
 CONFIG = """
@@ -75,3 +78,71 @@ def test_oracle_reference_reports_objective(capsys):
     assert main(["oracle", "--kind", "reference", "--n", "3", "--p", "8",
                  "--potential", "q:3", "--lambda", "0.5"]) == 0
     assert "objective =" in capsys.readouterr().out
+
+
+# every `regmirror run` flag, a value other than its key's default, and that value parsed
+RUN_FLAGS = [
+    ("--lambda", "0.5,3", "lambdas", (0.5, 3.0)),
+    ("--eta", "0.2", "etas", (0.2,)),
+    ("--potential", "q:3", "potential", "q:3"),
+    ("--algorithm", "smd,wd", "algorithms", ("smd", "wd")),
+    ("--corruption", "0.4", "corruption", 0.4),
+    ("--seed", "11", "seed", 11),
+    ("--batch-size", "7", "batch_size", 7),
+    ("--epochs", "9", "epochs", 9),
+    ("--stop-window", "13", "stop_window", 13),
+    ("--stop-tol", "0.5", "stop_tol", 0.5),
+    ("--out", "elsewhere.csv", "out", "elsewhere.csv"),
+]
+
+
+@pytest.mark.parametrize("flag, text, key, value", RUN_FLAGS, ids=[f[0] for f in RUN_FLAGS])
+def test_run_flag_sets_its_key(tmp_path, monkeypatch, flag, text, key, value):
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg, force: ran.append(cfg))
+    path = tmp_path / "empty.cfg"
+    path.write_text("")
+    assert main(["run", str(path), flag, text]) == 0
+    assert getattr(harness.ExperimentConfig(), key) != value
+    assert getattr(ran[0], key) == value
+
+
+def test_run_flags_are_the_listed_ones(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {"--help", "--force"} | {flag for flag, *_ in RUN_FLAGS}
+
+
+# the key a bad value's error must name, and the config lines (appended to
+# CONFIG) that set it; None runs `regmirror oracle --potential foo` instead
+BAD_VALUES = [
+    ("batch_size", "batch_size = 0"),
+    ("etas", "etas = 0"),
+    ("lambdas", "lambdas = -1"),
+    ("n_train", "n_train = 0"),
+    ("classes", "classes = 0"),
+    ("hidden", "model = mlp\nhidden = 0"),
+    ("potential", "potential = q:1"),
+    ("potential", "potential = foo"),
+    ("epochs", "epochs = 0"),
+    ("stop_window", "stop_window = 0"),  # every rmd and wd cell would stop after epoch 1
+    ("potential", None),  # regmirror oracle --potential foo
+]
+
+
+@pytest.mark.parametrize("key, lines", BAD_VALUES,
+                         ids=[lines.splitlines()[-1].replace(" ", "") if lines else "oracle"
+                              for _, lines in BAD_VALUES])
+def test_bad_value_is_one_error_line(tmp_path, capsys, key, lines):
+    out = tmp_path / "metrics.csv"
+    if lines is None:
+        argv = ["oracle", "--potential", "foo"]
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG + lines + "\n")
+        argv = ["run", str(cfg), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert not out.exists()

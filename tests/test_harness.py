@@ -1,5 +1,7 @@
 import contextlib
+import dataclasses
 import os
+import re
 import select
 import time
 
@@ -73,6 +75,39 @@ class TestConfig:
     def test_unknown_algorithm_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="adam"):
             load_config(write_config(tmp_path, algorithms="adam"))
+
+    def test_list_items(self, tmp_path):
+        # hidden drops empty items, lambdas and etas reject them, algorithms keeps them
+        assert load_config(write_config(tmp_path, hidden="16,,16,")).hidden == (16, 16)
+        for key in ("lambdas", "etas"):
+            with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+                load_config(write_config(tmp_path, **{key: "0.5,,2"}))
+        with pytest.raises(ConfigError, match="unknown algorithm ''"):
+            load_config(write_config(tmp_path, algorithms="sgd,,rmd"))
+
+    def test_every_default_written_as_text_loads_back(self, tmp_path):
+        def as_text(value):
+            return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+        defaults = ExperimentConfig()
+        path = tmp_path / "defaults.cfg"
+        path.write_text("".join(f"{field.name} = {as_text(getattr(defaults, field.name))}\n"
+                                for field in dataclasses.fields(ExperimentConfig)))
+        assert load_config(path) == defaults
+
+    def test_readme_key_table_matches_defaults(self, tmp_path):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+            table = fh.read().split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+        lines = []
+        for row in table.split("\n\n", 1)[0].splitlines():
+            keys, defaults = (re.findall(r"`([^`]*)`", cell) for cell in row.split("|")[1:3])
+            assert len(keys) == len(defaults), row
+            lines += [f"{key} = {text}" for key, text in zip(keys, defaults)]
+        assert ({line.split(" = ")[0] for line in lines}
+                == {field.name for field in dataclasses.fields(ExperimentConfig)})
+        path = tmp_path / "readme.cfg"
+        path.write_text("\n".join(lines))
+        assert load_config(path) == ExperimentConfig()
 
 
 class TestRunExperiment:

@@ -248,7 +248,7 @@ class TestRun:
         anchor = rng.standard_normal(p)
         result = run(LinearModel(p), ds, "rmd", SquaredL2(),
                      HyperParams(eta=1e-3, lam=1e-3), rng_stream(3),
-                     epochs=2000, anchor=anchor, stop_window=100, stop_tol=1e-7)
+                     epochs=2000, w0=anchor, stop_window=100, stop_tol=1e-7)
         assert np.array_equal(result.w_init, anchor)
         assert SquaredL2().bregman(result.state.w, anchor) < 1e-3
 
