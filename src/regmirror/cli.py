@@ -72,6 +72,12 @@ def _cmd_summarize(args):
 
 
 def _cmd_oracle(args):
+    if args.n < 1:
+        raise RegmirrorError(f"--n must be at least 1, got {args.n}")
+    if args.p < args.n:
+        raise RegmirrorError(f"--p must be at least --n ({args.n}), got {args.p}")
+    if not args.lam > 0.0:
+        raise RegmirrorError(f"--lambda must be positive, got {args.lam:g}")
     rng = rng_stream(args.seed)
     x = rng.standard_normal((args.n, args.p))
     y = rng.standard_normal(args.n)

@@ -1,4 +1,4 @@
-"""Datasets: synthetic generation, label corruption, CSV loading.
+"""Datasets: synthetic generation and label corruption.
 
 Classification tasks are encoded as one regression target per class:
 the target row for a sample of class c is -1 everywhere and +1 at
@@ -28,14 +28,6 @@ class Dataset:
     def n(self):
         return self.X.shape[0]
 
-    @property
-    def d(self):
-        return self.X.shape[1]
-
-    @property
-    def classes(self):
-        return None if self.labels is None else self.Y.shape[1]
-
 
 def encode_labels(labels, classes):
     """Class indices -> (n, classes) matrix of +/-1 regression targets."""
@@ -52,14 +44,13 @@ def label_accuracy(out, labels):
 def accuracy(model, w, ds, buffers=None):
     """Percent of samples whose argmax head matches the class label.
 
-    ``buffers`` (from ``model.predict_buffers``) receive the forward pass.
+    When given, ``buffers`` (from ``model.predict_buffers``) receive the
+    forward pass.
     """
     if ds.labels is None:
         raise ValueError("dataset has no class labels")
     if ds.n == 0:
         return float("nan")
-    if buffers is None:
-        return label_accuracy(model.batch_predict(w, ds.X), ds.labels)
     return label_accuracy(model.batch_predict(w, ds.X, buffers), ds.labels)
 
 
@@ -105,8 +96,3 @@ def corrupt_labels(ds, fraction, classes, rng):
         corrupted_indices=frozenset(int(i) for i in chosen),
     )
 
-
-def load_csv(path):
-    """Load a headerless CSV of d feature columns followed by one label."""
-    raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    return Dataset(X=raw[:, :-1], Y=raw[:, -1])

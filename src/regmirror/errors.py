@@ -28,17 +28,9 @@ class NonFiniteError(RegmirrorError):
 class NewtonDivergenceError(RegmirrorError):
     """Damped Newton failed to reach the target residual."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class MaxIterationsError(RegmirrorError):
     """Iterative solver hit its iteration cap before converging."""
-
-    def __init__(self, message, grad_norm=None):
-        super().__init__(message)
-        self.grad_norm = grad_norm
 
 
 class ConfigError(RegmirrorError):

@@ -8,8 +8,10 @@ Two model families:
   single weight vector (weights then bias per layer).
 
 The per-sample loss is L(w) = 1/2 ||y - f(x, w)||^2, summed over output
-heads so the residual stays scalar-valued per sample. ``loss_and_grad``
-returns the exact gradient (closed form for the linear model,
+heads so the residual stays scalar-valued per sample. Both models take
+batches only, one row per sample (a single sample is a batch of one):
+``batch_predict`` returns the outputs and ``batch_loss_and_grad`` the mean
+loss with its exact gradient (closed form for the linear model,
 backpropagation for the MLP).
 """
 
@@ -38,22 +40,6 @@ class LinearModel:
     def init_weights(self, rng, scale=0.01):
         return scale * rng.standard_normal(self.n_params)
 
-    def predict(self, w, x):
-        self._check(w, x)
-        return float(x @ w)
-
-    def loss(self, w, x, y):
-        r = float(y) - self.predict(w, x)
-        return 0.5 * r * r
-
-    def loss_and_grad(self, w, x, y):
-        self._check(w, x)
-        r = float(y) - float(x @ w)
-        return 0.5 * r * r, -r * x
-
-    def loss_grad(self, w, x, y):
-        return self.loss_and_grad(w, x, y)[1]
-
     def predict_buffers(self, rows):
         """Output buffer for ``batch_predict`` on up to ``rows`` rows."""
         return [np.empty(rows)]
@@ -69,14 +55,6 @@ class LinearModel:
         r = np.asarray(ys, dtype=float).reshape(-1) - xs @ w
         m = len(r)
         return 0.5 * float(r @ r) / m, -(xs.T @ r) / m
-
-    def sample_losses(self, w, xs, ys):
-        return square_losses(xs @ w, ys)
-
-    def _check(self, w, x):
-        if w.shape != (self.d,) or x.shape != (self.d,):
-            raise DimensionMismatchError(
-                f"linear model of dimension {self.d} got w{w.shape}, x{x.shape}")
 
 
 class MLPModel:
@@ -132,14 +110,6 @@ class MLPModel:
                 hidden.append(h)
         return hidden, h
 
-    def predict(self, w, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise DimensionMismatchError(f"MLP input dimension {self.d}, got x{x.shape}")
-        _, out = self._forward(self._layers(w), x[None, :])
-        out = out[0]
-        return float(out[0]) if self.n_outputs == 1 else out
-
     def predict_buffers(self, rows):
         """One output buffer per layer for ``batch_predict`` on up to ``rows`` rows.
 
@@ -151,18 +121,6 @@ class MLPModel:
     def batch_predict(self, w, xs, buffers=None):
         _, out = self._forward(self._layers(w), xs, buffers)
         return out[:, 0] if self.n_outputs == 1 else out
-
-    def loss(self, w, x, y):
-        r = np.atleast_1d(np.asarray(y, dtype=float)) - np.atleast_1d(self.predict(w, x))
-        return 0.5 * float(r @ r)
-
-    def loss_and_grad(self, w, x, y):
-        x = np.asarray(x, dtype=float)
-        loss, grad = self.batch_loss_and_grad(w, x[None, :], np.atleast_1d(y)[None, :])
-        return loss, grad
-
-    def loss_grad(self, w, x, y):
-        return self.loss_and_grad(w, x, y)[1]
 
     def batch_loss_and_grad(self, w, xs, ys):
         """Mean loss and mean gradient over a batch via backpropagation.

@@ -84,13 +84,6 @@ def spawn_stream(seed, *path):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, path)])))
 
 
-def gaussian_matrix(rows, cols, rng):
-    """Draw an i.i.d. standard-normal matrix of shape (rows, cols)."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix shape must be positive, got ({rows}, {cols})")
-    return rng.standard_normal((rows, cols))
-
-
 def solve_linear_system(a, b):
     """Solve A x = b by Gaussian elimination with partial pivoting.
 

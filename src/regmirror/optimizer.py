@@ -11,7 +11,7 @@ by -c / lambda. Larger lambda weakens the z dynamics; in the limit the
 update is exactly stochastic mirror descent. The mini-batch variant
 replaces the per-sample quantities by batch means.
 
-Division by r is guarded by ``epsilon_guard``: with square loss an
+Division by r is guarded by ``EPSILON_GUARD``: with square loss an
 interpolated sample has a vanishing gradient as well, so the w-update
 degenerates gracefully and only z can move.
 """
@@ -25,16 +25,17 @@ from .data import Dataset, accuracy, label_accuracy
 from .errors import EmptyBatchError, NonFiniteError
 from .models import square_losses
 
+EPSILON_GUARD = 1e-12
+
 
 @dataclasses.dataclass
 class HyperParams:
     eta: float
     lam: float = 1.0
     batch_size: int = 1
-    epsilon_guard: float = 1e-12
 
     def __post_init__(self):
-        if self.eta <= 0 or self.lam <= 0 or self.batch_size < 1 or self.epsilon_guard <= 0:
+        if self.eta <= 0 or self.lam <= 0 or self.batch_size < 1:
             raise ValueError(f"hyperparameters must be positive: {self}")
 
 
@@ -44,7 +45,6 @@ class OptimizerState:
     z: np.ndarray
     step: int = 0
     epoch: int = 0
-    residual_history: list = dataclasses.field(default_factory=list)
 
 
 def _loss_and_grad(state, model, ds, indices):
@@ -89,7 +89,7 @@ def rmd_minibatch_step(state, model, potential, ds, indices, hp):
     z_bar = float(np.add.reduce(z)) / len(z)  # .mean() without its overhead
     r = math.sqrt(2.0 * loss)
     c = hp.eta * (z_bar - r)
-    potential.step(state.w, g, c / max(r, hp.epsilon_guard))
+    potential.step(state.w, g, c / max(r, EPSILON_GUARD))
     state.z[indices] -= c / hp.lam
     state.step += 1
 
@@ -160,6 +160,7 @@ def run(model, train, algorithm, potential, hp, rng, *, epochs,
     buffers = model.predict_buffers(max(train.n, 0 if test is None else test.n))
     step = STEPS[algorithm]
     loss_history = []
+    residual_history = []
     metrics = []
     stop_reason = "budget"
     for epoch in range(1, epochs + 1):
@@ -188,7 +189,7 @@ def run(model, train, algorithm, potential, hp, rng, *, epochs,
         residual = float("nan")
         if algorithm == "rmd":
             residual = float(np.sum(np.abs(state.z - np.sqrt(2.0 * losses))))
-            state.residual_history.append(residual)
+            residual_history.append(residual)
         loss_history.append(train_loss)
         metrics.append({
             "epoch": epoch,
@@ -208,7 +209,7 @@ def run(model, train, algorithm, potential, hp, rng, *, epochs,
                 stop_reason = "interpolated"
                 break
         elif algorithm == "rmd":
-            if _window_converged(state.residual_history, stop_window, stop_tol):
+            if _window_converged(residual_history, stop_window, stop_tol):
                 stop_reason = "constraint-converged"
                 break
         elif _window_converged(loss_history, stop_window, stop_tol):

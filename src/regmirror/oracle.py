@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import MaxIterationsError, NewtonDivergenceError
+from .errors import MaxIterationsError, NewtonDivergenceError, SingularMatrixError
 from .potentials import NegativeEntropy, SquaredL2
 from .numerics import solve_linear_system
 
@@ -80,8 +80,7 @@ def _dual_newton(x, y, potential, base, nu, tol, max_iter):
                 shift = max(10.0 * shift, 1e-8 * (1.0 + float(np.max(np.abs(jac)))))
                 if shift > 1e12 * (1.0 + float(np.max(np.abs(jac)))):
                     raise NewtonDivergenceError(
-                        f"dual Newton stalled at residual {res_norm:.3e}",
-                        residual=res_norm)
+                        f"dual Newton stalled at residual {res_norm:.3e}")
                 continue
             break
         nu = nu + t * step
@@ -91,7 +90,18 @@ def _dual_newton(x, y, potential, base, nu, tol, max_iter):
         return w, nu
     raise NewtonDivergenceError(
         f"dual Newton did not reach {tol:.1e} in {max_iter} iterations "
-        f"(residual {float(np.max(np.abs(res))):.3e})", residual=float(np.max(np.abs(res))))
+        f"(residual {float(np.max(np.abs(res))):.3e})")
+
+
+def _shifted_solve(hess, rhs):
+    """Solve (H + shift I) x = rhs at the first shift of 0, 1e-10, 1e-9, ...
+    that elimination accepts as nonsingular."""
+    shift = 0.0
+    while True:
+        try:
+            return solve_linear_system(hess + shift * np.eye(len(rhs)), rhs)
+        except SingularMatrixError:
+            shift = max(10.0 * shift, 1e-10)
 
 
 def _nullspace_newton(x, y, potential, anchor, w_start, stat_tol=1e-9, max_iter=500):
@@ -126,13 +136,7 @@ def _nullspace_newton(x, y, potential, anchor, w_start, stat_tol=1e-9, max_iter=
         if float(np.max(np.abs(grad_u))) < stat_tol:
             return w
         hess_u = nmat.T @ (nmat * potential.curvature(w)[:, None])
-        shift = 0.0
-        while True:
-            try:
-                step = solve_linear_system(hess_u + shift * np.eye(p - n), -grad_u)
-                break
-            except Exception:
-                shift = max(10.0 * shift, 1e-10)
+        step = _shifted_solve(hess_u, -grad_u)
         t = 1.0
         decrease = float(grad_u @ step)
         while t > 1e-16 and objective(w_feas + nmat @ (u + t * step)) > f + 1e-4 * t * decrease:
@@ -290,13 +294,7 @@ def regularized_reference(rp, grad_tol=1e-9, max_iter=5000):
         d = (1.0 / np.sqrt(np.diag(hess)) if isinstance(rp.potential, NegativeEntropy)
              else np.ones(p))
         hess = d[:, None] * hess * d
-        shift = 0.0
-        while True:
-            try:
-                step = d * solve_linear_system(hess + shift * np.eye(p), -d * grad)
-                break
-            except Exception:
-                shift = max(10.0 * shift, 1e-10)
+        step = d * _shifted_solve(hess, -d * grad)
         decrease = float(grad @ step)
         if 0.0 < -decrease <= _FLAT_DECREASE * abs(f):
             # The predicted decrease is below f's rounding error, so the
@@ -327,4 +325,4 @@ def regularized_reference(rp, grad_tol=1e-9, max_iter=5000):
         w = w + t * step
         f = f_try
     raise MaxIterationsError(
-        f"reference solver stopped at gradient norm {grad_norm:.3e}", grad_norm=grad_norm)
+        f"reference solver stopped at gradient norm {grad_norm:.3e}")

@@ -80,6 +80,28 @@ def test_oracle_reference_reports_objective(capsys):
     assert "objective =" in capsys.readouterr().out
 
 
+# `regmirror oracle` arguments out of range, and the flag the error must name
+BAD_ORACLE_ARGS = [
+    (["--p", "0"], "--p"),
+    (["--n", "40", "--p", "30"], "--p"),
+    (["--n", "0"], "--n"),
+    (["--kind", "reference", "--lambda", "-1"], "--lambda"),
+    (["--kind", "ridge", "--lambda", "0"], "--lambda"),
+    (["--kind", "reference", "--lambda", "0"], "--lambda"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, flag", BAD_ORACLE_ARGS,
+                         ids=["".join(args) for args, _ in BAD_ORACLE_ARGS])
+def test_oracle_bad_argument_is_one_error_line(capsys, args, flag):
+    assert main(["oracle", *args]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0]
+    assert captured.out == ""
+
+
 # every `regmirror run` flag, a value other than its key's default, and that value parsed
 RUN_FLAGS = [
     ("--lambda", "0.5,3", "lambdas", (0.5, 3.0)),

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from regmirror.data import (Dataset, accuracy, corrupt_labels, encode_labels,
-                            generate_synthetic, load_csv)
-from regmirror.models import LinearModel
+from regmirror.data import Dataset, accuracy, corrupt_labels, encode_labels, generate_synthetic
 from regmirror.numerics import rng_stream
 
 
@@ -18,7 +16,7 @@ class TestGenerateSynthetic:
     def test_shapes_and_encoding(self):
         tr, te = generate_synthetic(4, 30, 10, 6, 0.1, rng_stream(1))
         assert tr.X.shape == (30, 6) and tr.Y.shape == (30, 4)
-        assert te.n == 10 and tr.classes == 4
+        assert te.n == 10
         assert np.all(np.sum(tr.Y == 1.0, axis=1) == 1)
         assert np.all(np.sum(tr.Y == -1.0, axis=1) == 3)
 
@@ -73,7 +71,7 @@ class TestAccuracy:
         ds = Dataset(X=np.eye(2), Y=encode_labels(labels, 2), labels=labels)
 
         class ArgmaxModel:
-            def batch_predict(self, w, xs):
+            def batch_predict(self, w, xs, buffers):
                 return xs
 
         assert accuracy(ArgmaxModel(), None, ds) == 100.0
@@ -81,18 +79,3 @@ class TestAccuracy:
                         labels=np.zeros(0, dtype=int))
         assert np.isnan(accuracy(ArgmaxModel(), None, empty))
 
-
-class TestLoadCsv:
-    def test_headerless_features_then_label(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("1.0,2.0,3.5\n4.0,5.0,-1.5\n")
-        ds = load_csv(path)
-        assert ds.X.shape == (2, 2)
-        assert np.array_equal(ds.Y, [3.5, -1.5])
-        assert ds.labels is None
-
-    def test_roundtrip_with_linear_model(self, tmp_path):
-        path = tmp_path / "one.csv"
-        path.write_text("2.0,0.5,2.0\n")
-        ds = load_csv(path)
-        assert LinearModel(2).loss(np.array([1.0, 0.0]), ds.X[0], ds.Y[0]) == 0.0

@@ -6,65 +6,74 @@ from regmirror.models import LinearModel, MLPModel
 from regmirror.numerics import rng_stream
 
 
+def one_row(model, w, x, y):
+    """Loss and gradient of the single sample (x, y), as a batch of one row."""
+    return model.batch_loss_and_grad(w, x[None], np.asarray(y, dtype=float)[None])
+
+
+def linear_sample(model, w, x, y):
+    """Closed-form loss and gradient of one sample of the linear model."""
+    r = y - x @ w
+    return 0.5 * r * r, -r * x
+
+
 def central_difference_grad(model, w, x, y, h=1e-6):
     g = np.empty_like(w)
     for k in range(len(w)):
         e = np.zeros_like(w)
         e[k] = h
-        g[k] = (model.loss(w + e, x, y) - model.loss(w - e, x, y)) / (2 * h)
+        g[k] = (one_row(model, w + e, x, y)[0] - one_row(model, w - e, x, y)[0]) / (2 * h)
     return g
 
 
 class TestPredict:
     def test_linear_dot_product(self):
         m = LinearModel(2)
-        assert m.predict(np.array([3.0, 4.0]), np.array([1.0, 2.0])) == 11.0
+        assert m.batch_predict(np.array([3.0, 4.0]), np.array([[1.0, 2.0]]))[0] == 11.0
 
     def test_linear_zero_weights(self):
         m = LinearModel(3)
-        assert m.predict(np.zeros(3), np.array([5.0, -1.0, 2.0])) == 0.0
+        assert m.batch_predict(np.zeros(3), np.array([[5.0, -1.0, 2.0]]))[0] == 0.0
 
     def test_mlp_zero_weights(self):
         m = MLPModel((2, 2, 1))
-        assert m.predict(np.zeros(m.n_params), np.array([0.3, -0.7])) == 0.0
+        assert m.batch_predict(np.zeros(m.n_params), np.array([[0.3, -0.7]]))[0] == 0.0
 
     def test_linearity_of_linear_model(self):
         m = LinearModel(4)
         rng = rng_stream(1)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal(4)[None]
         w1, w2 = rng.standard_normal(4), rng.standard_normal(4)
-        lhs = m.predict(0.3 * w1 + 1.7 * w2, x)
-        rhs = 0.3 * m.predict(w1, x) + 1.7 * m.predict(w2, x)
+        lhs = m.batch_predict(0.3 * w1 + 1.7 * w2, x)[0]
+        rhs = 0.3 * m.batch_predict(w1, x)[0] + 1.7 * m.batch_predict(w2, x)[0]
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            LinearModel(2).predict(np.zeros(3), np.zeros(2))
-        with pytest.raises(DimensionMismatchError):
-            MLPModel((2, 2, 1)).predict(np.zeros(5), np.zeros(2))
+            MLPModel((2, 2, 1)).batch_predict(np.zeros(5), np.zeros((1, 2)))
 
 
 class TestLoss:
     def test_half_squared_residual(self):
         m = LinearModel(1)
-        assert m.loss(np.array([0.0]), np.array([1.0]), 1.0) == 0.5
-        assert m.loss(np.array([2.0]), np.array([1.0]), 1.0) == 0.5
+        assert one_row(m, np.array([0.0]), np.array([1.0]), 1.0)[0] == 0.5
+        assert one_row(m, np.array([2.0]), np.array([1.0]), 1.0)[0] == 0.5
 
     def test_zero_at_interpolation(self):
         m = LinearModel(2)
         w = np.array([1.0, 2.0])
         x = np.array([3.0, -1.0])
-        assert m.loss(w, x, m.predict(w, x)) == 0.0
+        assert one_row(m, w, x, m.batch_predict(w, x[None])[0])[0] == 0.0
 
     def test_grad_zero_at_interpolation(self):
         m = LinearModel(2)
         w = np.array([1.0, 2.0])
         x = np.array([3.0, -1.0])
-        assert np.array_equal(m.loss_grad(w, x, m.predict(w, x)), np.zeros(2))
+        assert np.array_equal(one_row(m, w, x, m.batch_predict(w, x[None])[0])[1], np.zeros(2))
 
     def test_linear_grad_closed_form(self):
         m = LinearModel(2)
-        g = m.loss_grad(np.zeros(2), np.array([1.0, 0.0]), 1.0)
+        g = one_row(m, np.zeros(2), np.array([1.0, 0.0]), 1.0)[1]
         assert np.array_equal(g, [-1.0, 0.0])
 
 
@@ -81,18 +90,18 @@ class TestGradientCheck:
             w = rng.standard_normal(model.n_params)
             x = rng.standard_normal(model.d)
             y = rng.standard_normal(k) if k > 1 else float(rng.standard_normal())
-            g = model.loss_grad(w, x, y)
+            g = one_row(model, w, x, y)[1]
             fd = central_difference_grad(model, w, x, y)
             denom = max(1.0, float(np.linalg.norm(g)))
             assert np.linalg.norm(fd - g) / denom < 1e-5
 
 
 class TestBatchConsistency:
-    @pytest.mark.parametrize("model,k", [
-        (LinearModel(5), 1),
-        (MLPModel((5, 7, 2)), 2),
+    @pytest.mark.parametrize("model,k,per_sample", [
+        (LinearModel(5), 1, linear_sample),
+        (MLPModel((5, 7, 2)), 2, one_row),
     ], ids=["linear", "mlp"])
-    def test_batch_means_match_per_sample(self, model, k):
+    def test_batch_means_match_per_sample(self, model, k, per_sample):
         rng = rng_stream(17)
         m = 6
         xs = rng.standard_normal((m, model.d))
@@ -103,7 +112,7 @@ class TestBatchConsistency:
         xs = rng.standard_normal((m, model.d))
         ys = rng.standard_normal((m, k)) if k > 1 else rng.standard_normal(m)
         w = rng.standard_normal(model.n_params)
-        per = [model.loss_and_grad(w, xs[i], ys[i]) for i in range(m)]
+        per = [per_sample(model, w, xs[i], ys[i]) for i in range(m)]
         assert loss == pytest.approx(np.mean([p[0] for p in per]), rel=1e-12)
         assert np.allclose(grad, np.mean([p[1] for p in per], axis=0), rtol=1e-10, atol=1e-14)
 
@@ -115,7 +124,7 @@ class TestBatchConsistency:
         ys = rng.standard_normal((5, 2))
         losses = model.sample_losses(w, xs, ys)
         for i in range(5):
-            assert losses[i] == pytest.approx(model.loss(w, xs[i], ys[i]), rel=1e-12)
+            assert losses[i] == pytest.approx(one_row(model, w, xs[i], ys[i])[0], rel=1e-12)
 
 
 def reference_backprop(model, w, xs, ys):

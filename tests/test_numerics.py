@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regmirror.errors import SingularMatrixError
-from regmirror.numerics import gaussian_matrix, rng_stream, solve_linear_system, spawn_stream
+from regmirror.numerics import rng_stream, solve_linear_system, spawn_stream
 
 
 class TestSolveLinearSystem:
@@ -47,19 +47,6 @@ class TestSolveLinearSystem:
 
 
 class TestRandomness:
-    def test_gaussian_matrix_deterministic(self):
-        m1 = gaussian_matrix(2, 3, rng_stream(7))
-        m2 = gaussian_matrix(2, 3, rng_stream(7))
-        assert np.array_equal(m1, m2)
-
-    def test_gaussian_matrix_mean(self):
-        m = gaussian_matrix(1, 10_000, rng_stream(3))
-        assert abs(m.mean()) < 0.05
-
-    def test_zero_rows_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_matrix(0, 3, rng_stream(0))
-
     def test_spawn_stream_independent_of_order(self):
         a = spawn_stream(5, 1, 2).standard_normal(4)
         _ = spawn_stream(5, 1, 3).standard_normal(4)

@@ -6,7 +6,7 @@ import pytest
 from regmirror.data import Dataset, accuracy, generate_synthetic, label_accuracy
 from regmirror.errors import DomainError, EmptyBatchError
 from regmirror.models import LinearModel, MLPModel, square_losses
-from regmirror.numerics import gaussian_matrix, rng_stream
+from regmirror.numerics import rng_stream
 from regmirror.optimizer import (STEPS, HyperParams, OptimizerState, rmd_minibatch_step,
                                  run, sgd_step, smd_step, wd_step)
 from regmirror.potentials import NegativeEntropy, QNorm, SquaredL2
@@ -118,7 +118,7 @@ class TestRmdStep:
     def test_large_lambda_matches_smd(self):
         rng = rng_stream(12)
         n, p = 6, 15
-        ds = regression_dataset(gaussian_matrix(n, p, rng), rng.standard_normal(n))
+        ds = regression_dataset(rng.standard_normal((n, p)), rng.standard_normal(n))
         w0 = 0.01 * rng.standard_normal(p)
         hp_rmd = HyperParams(eta=0.01, lam=1e9)
         hp_smd = HyperParams(eta=0.01)
@@ -213,7 +213,7 @@ class TestRun:
     def test_sgd_interpolates_overparameterized(self):
         rng = rng_stream(20)
         n, p = 20, 100
-        ds = regression_dataset(gaussian_matrix(n, p, rng), rng.standard_normal(n))
+        ds = regression_dataset(rng.standard_normal((n, p)), rng.standard_normal(n))
         result = run(LinearModel(p), ds, "sgd", SquaredL2(), HyperParams(eta=1e-3),
                      rng_stream(1), epochs=20000, w0=np.zeros(p), interp_tol=1e-6)
         assert result.stop_reason == "interpolated"
@@ -221,7 +221,7 @@ class TestRun:
 
     def test_smd_l2_trajectory_bit_identical_to_sgd(self):
         rng = rng_stream(22)
-        ds = regression_dataset(gaussian_matrix(5, 12, rng), rng.standard_normal(5))
+        ds = regression_dataset(rng.standard_normal((5, 12)), rng.standard_normal(5))
         kwargs = dict(epochs=3, w0=0.01 * np.arange(12), stop_window=10)
         a = run(LinearModel(12), ds, "sgd", SquaredL2(), HyperParams(eta=0.01),
                 rng_stream(7), **kwargs)
@@ -232,7 +232,7 @@ class TestRun:
     def test_smd_l2_iterates_stay_in_rowspace(self):
         rng = rng_stream(23)
         n, p = 8, 30
-        x = gaussian_matrix(n, p, rng)
+        x = rng.standard_normal((n, p))
         ds = regression_dataset(x, rng.standard_normal(n))
         result = run(LinearModel(p), ds, "smd", SquaredL2(), HyperParams(eta=1e-2),
                      rng_stream(2), epochs=50, w0=np.zeros(p), interp_tol=1e-12)
@@ -244,7 +244,7 @@ class TestRun:
     def test_anchor_with_tiny_lambda_stays_at_anchor(self):
         rng = rng_stream(25)
         n, p = 5, 12
-        ds = regression_dataset(gaussian_matrix(n, p, rng), rng.standard_normal(n))
+        ds = regression_dataset(rng.standard_normal((n, p)), rng.standard_normal(n))
         anchor = rng.standard_normal(p)
         result = run(LinearModel(p), ds, "rmd", SquaredL2(),
                      HyperParams(eta=1e-3, lam=1e-3), rng_stream(3),
@@ -254,7 +254,7 @@ class TestRun:
 
     def test_rmd_stops_with_constraint_converged(self):
         rng = rng_stream(26)
-        ds = regression_dataset(gaussian_matrix(4, 10, rng), rng.standard_normal(4))
+        ds = regression_dataset(rng.standard_normal((4, 10)), rng.standard_normal(4))
         result = run(LinearModel(10), ds, "rmd", SquaredL2(),
                      HyperParams(eta=0.05, lam=1.0), rng_stream(4),
                      epochs=5000, w0=np.zeros(10), stop_window=50, stop_tol=1e-4)
@@ -263,7 +263,7 @@ class TestRun:
 
     def test_wd_stops_with_loss_converged(self):
         rng = rng_stream(27)
-        ds = regression_dataset(gaussian_matrix(4, 10, rng), rng.standard_normal(4))
+        ds = regression_dataset(rng.standard_normal((4, 10)), rng.standard_normal(4))
         result = run(LinearModel(10), ds, "wd", SquaredL2(),
                      HyperParams(eta=0.05, lam=1.0), rng_stream(5),
                      epochs=5000, w0=np.zeros(10), stop_window=50, stop_tol=1e-4)
@@ -273,7 +273,7 @@ class TestRun:
     def test_state_step_counts_every_update(self, algorithm):
         rng = rng_stream(32)
         n, batch_size, epochs = 8, 3, 2
-        ds = regression_dataset(gaussian_matrix(n, 10, rng), rng.standard_normal(n))
+        ds = regression_dataset(rng.standard_normal((n, 10)), rng.standard_normal(n))
         result = run(LinearModel(10), ds, algorithm, SquaredL2(),
                      HyperParams(eta=1e-3, lam=1.0, batch_size=batch_size),
                      rng_stream(8), epochs=epochs, w0=np.zeros(10))
@@ -282,7 +282,7 @@ class TestRun:
 
     def test_budget_stop(self):
         rng = rng_stream(28)
-        ds = regression_dataset(gaussian_matrix(4, 10, rng), rng.standard_normal(4))
+        ds = regression_dataset(rng.standard_normal((4, 10)), rng.standard_normal(4))
         result = run(LinearModel(10), ds, "rmd", SquaredL2(),
                      HyperParams(eta=1e-4, lam=1.0), rng_stream(6),
                      epochs=5, w0=np.zeros(10))
@@ -291,14 +291,14 @@ class TestRun:
 
     def test_entropy_run_errors_not_clamps_outside_domain(self):
         rng = rng_stream(29)
-        ds = regression_dataset(gaussian_matrix(3, 6, rng), rng.standard_normal(3))
+        ds = regression_dataset(rng.standard_normal((3, 6)), rng.standard_normal(3))
         with pytest.raises(DomainError):
             run(LinearModel(6), ds, "smd", NegativeEntropy(), HyperParams(eta=0.1),
                 rng_stream(7), epochs=2, w0=-np.ones(6))
 
     def test_same_seed_reproduces_run(self):
         rng = rng_stream(30)
-        ds = regression_dataset(gaussian_matrix(6, 14, rng), rng.standard_normal(6))
+        ds = regression_dataset(rng.standard_normal((6, 14)), rng.standard_normal(6))
         a = run(LinearModel(14), ds, "rmd", QNorm(3.0), HyperParams(eta=0.01, lam=1.0),
                 rng_stream(11), epochs=10)
         b = run(LinearModel(14), ds, "rmd", QNorm(3.0), HyperParams(eta=0.01, lam=1.0),

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from regmirror.models import LinearModel
-from regmirror.numerics import gaussian_matrix, rng_stream
+from regmirror.numerics import rng_stream
 from regmirror.oracle import (InterpolationProblem, RegularizedProblem,
                               min_norm_l2, min_potential_dual,
                               regularized_objective, regularized_reference,
@@ -12,7 +11,7 @@ from regmirror.potentials import NegativeEntropy, QNorm, SquaredL2
 
 def random_problem(n, p, seed):
     rng = rng_stream(seed)
-    return InterpolationProblem(gaussian_matrix(n, p, rng), rng.standard_normal(n))
+    return InterpolationProblem(rng.standard_normal((n, p)), rng.standard_normal(n))
 
 
 def _seeded_instance(seed, n, p):
