@@ -1,17 +1,18 @@
 """Independent ground-truth solvers for linear-model convergence targets.
 
 These share nothing with the stochastic optimizers: feasible targets
-are solved through the dual KKT system, regularized targets through a
-closed form (squared-l2) or a damped Newton descent on the exact batch
-objective. They exist so training runs can be checked against solutions
-computed by a different route.
+are solved through the dual KKT system, with a primal null-space Newton
+where the dual one fails, regularized targets through a closed form
+(squared-l2) or a damped Newton descent on the exact batch objective.
+They exist so training runs can be checked against solutions computed
+by a different route.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .errors import MaxIterationsError, NewtonDivergenceError, SingularMatrixError
+from .errors import DomainError, MaxIterationsError, NewtonDivergenceError, SingularMatrixError
 from .potentials import NegativeEntropy, SquaredL2
 from .numerics import solve_linear_system
 
@@ -48,12 +49,17 @@ def min_norm_l2(problem):
     return x.T @ nu
 
 
-def _dual_newton(x, y, potential, base, nu, tol, max_iter):
+_DUAL_TOL = 1e-10  # max |X w - y| that ends the dual attempt
+_STAT_TOL = 1e-9   # max |N^T g| / max |g| that ends the null-space fallback
+_MAX_ITER = 500    # Newton iterations of either interpolation solver
+_GRAD_TOL = 1e-9   # max |gradient| that ends regularized_reference
+
+
+def _dual_newton(x, y, potential, base, nu):
     """Damped Newton on the dual feasibility map F(nu) = X psi*'(base + X^T nu) - y.
 
-    Steps are halved until the residual norm decreases; when even tiny
-    steps fail, a growing Levenberg shift regularizes the Jacobian
-    before giving up.
+    Steps are halved until the residual norm decreases; when even a step
+    of 1e-16 does not, the dual map is too stiff and it raises instead.
     """
 
     def residual(nu_vec):
@@ -61,36 +67,24 @@ def _dual_newton(x, y, potential, base, nu, tol, max_iter):
         return w, x @ w - y
 
     w, res = residual(nu)
-    res_norm = float(np.linalg.norm(res))
-    for _ in range(max_iter):
-        if float(np.max(np.abs(res))) < tol:
-            return w, nu
+    for _ in range(_MAX_ITER):
+        if float(np.max(np.abs(res))) < _DUAL_TOL:
+            return w
+        res_norm = float(np.linalg.norm(res))
         diag = potential.grad_inverse_deriv(base + x.T @ nu)
-        jac = (x * diag) @ x.T
-        shift = 0.0
-        while True:
-            step = solve_linear_system(jac + shift * np.eye(len(nu)), -res)
-            t = 1.0
-            while t > 1e-16:
-                w_try, res_try = residual(nu + t * step)
-                if float(np.linalg.norm(res_try)) < res_norm:
-                    break
-                t *= 0.5
-            else:
-                shift = max(10.0 * shift, 1e-8 * (1.0 + float(np.max(np.abs(jac)))))
-                if shift > 1e12 * (1.0 + float(np.max(np.abs(jac)))):
-                    raise NewtonDivergenceError(
-                        f"dual Newton stalled at residual {res_norm:.3e}")
-                continue
-            break
+        step = solve_linear_system((x * diag) @ x.T, -res)
+        t = 1.0
+        while t > 1e-16:
+            w_try, res_try = residual(nu + t * step)
+            if float(np.linalg.norm(res_try)) < res_norm:
+                break
+            t *= 0.5
+        else:
+            raise NewtonDivergenceError(f"dual Newton stalled at residual {res_norm:.3e}")
         nu = nu + t * step
         w, res = w_try, res_try
-        res_norm = float(np.linalg.norm(res))
-    if float(np.max(np.abs(res))) < tol:
-        return w, nu
-    raise NewtonDivergenceError(
-        f"dual Newton did not reach {tol:.1e} in {max_iter} iterations "
-        f"(residual {float(np.max(np.abs(res))):.3e})")
+    raise NewtonDivergenceError(f"dual Newton stopped after {_MAX_ITER} iterations "
+                                f"at residual {float(np.max(np.abs(res))):.3e}")
 
 
 def _shifted_solve(hess, rhs):
@@ -104,14 +98,15 @@ def _shifted_solve(hess, rhs):
             shift = max(10.0 * shift, 1e-10)
 
 
-def _nullspace_newton(x, y, potential, anchor, w_start, stat_tol=1e-9, max_iter=500):
+def _nullspace_newton(x, y, potential, anchor, w_start):
     """Feasible primal Newton over the null space of X.
 
     Writes w = w_feas + N u with N an orthonormal null-space basis, so
     X w = y holds to machine precision throughout, and minimizes the
-    (anchored) potential in u. Complements the dual solver: the primal
-    Hessian stays bounded exactly where the dual one blows up (large-q
-    norms with near-zero coordinates).
+    (anchored) potential in u. The primal Hessian stays bounded where the
+    dual one blows up (large q, near-zero coordinates). Stationarity is
+    relative to the gradient's size and a rejected Newton step falls back
+    to steepest descent, so the answer does not depend on ``w_start``.
     """
     n, p = x.shape
     u_svd, s, vt = np.linalg.svd(x, full_matrices=True)
@@ -121,85 +116,62 @@ def _nullspace_newton(x, y, potential, anchor, w_start, stat_tol=1e-9, max_iter=
     nmat = vt[n:].T
     anchor_grad = np.zeros(p) if anchor is None else potential.grad(anchor)
 
-    def objective(w):
+    def objective(u):
+        w = w_feas + nmat @ u
         try:
             return potential.value(w) - float(anchor_grad @ w)
-        except Exception:
+        except DomainError:
             return float("inf")
 
-    u = nmat.T @ (w_start - w_feas)
-    w = w_feas + nmat @ u
-    f = objective(w)
-    for _ in range(max_iter):
+    def stationarity(u):
+        """w, N^T g and max |g| at u, for g = grad psi(w) - grad psi(anchor)."""
+        w = w_feas + nmat @ u
         grad_w = potential.grad(w) - anchor_grad
-        grad_u = nmat.T @ grad_w
-        if float(np.max(np.abs(grad_u))) < stat_tol:
+        return w, nmat.T @ grad_w, float(np.max(np.abs(grad_w)))
+
+    u = nmat.T @ (w_start - w_feas)
+    f = objective(u)
+    for _ in range(_MAX_ITER):
+        w, grad_u, scale = stationarity(u)
+        if float(np.max(np.abs(grad_u))) <= _STAT_TOL * scale:
             return w
         hess_u = nmat.T @ (nmat * potential.curvature(w)[:, None])
-        step = _shifted_solve(hess_u, -grad_u)
-        t = 1.0
-        decrease = float(grad_u @ step)
-        while t > 1e-16 and objective(w_feas + nmat @ (u + t * step)) > f + 1e-4 * t * decrease:
-            t *= 0.5
+        # Armijo backtracking along the Newton step, then along -grad_u;
+        # "not <=" also rejects a NaN objective (inf - inf)
+        for step in (_shifted_solve(hess_u, -grad_u), -grad_u):
+            bound, t = 1e-4 * float(grad_u @ step), 1.0
+            while t > 1e-16 and not objective(u + t * step) <= f + t * bound:
+                t *= 0.5
+            if t > 1e-16:
+                break
+        else:
+            break  # neither direction descends in double precision
         u = u + t * step
-        w = w_feas + nmat @ u
-        f = objective(w)
-    grad_norm = float(np.max(np.abs(nmat.T @ (potential.grad(w) - anchor_grad))))
-    if grad_norm < 1e-6:
+        f = objective(u)
+    w, grad_u, scale = stationarity(u)
+    grad_norm = float(np.max(np.abs(grad_u)))
+    if grad_norm <= 1e-6 * scale:
         return w  # flat directions converged as far as double precision allows
-    raise NewtonDivergenceError(
-        f"null-space Newton stalled at stationarity {grad_norm:.3e}")
+    raise NewtonDivergenceError(f"null-space Newton stalled at stationarity {grad_norm:.3e}")
 
 
-def min_potential_dual(problem, potential, anchor=None, tol=1e-10, max_iter=500):
+def min_potential_dual(problem, potential, anchor=None):
     """Interpolant minimizing psi(w) (or the divergence from ``anchor``).
 
     Solves the KKT conditions grad psi(w) = grad psi(a) + X^T nu,
     X w = y by damped Newton on the dual variable nu, warm started from
     the l2 dual (at nu = 0 the q-norm Jacobian can be singular or
-    unbounded). Strongly curved q-norms are handled by continuation:
-    the exponent is walked from 2 toward its target, re-projecting the
-    dual at each stage.
+    unbounded). Where that fails (a dual map too stiff, as at large q),
+    ``_nullspace_newton`` solves the primal from the min-norm interpolant.
     """
-    from .potentials import QNorm
-
     x, y = problem.X, problem.y
     anchor = None if anchor is None else np.asarray(anchor, dtype=float)
-    xxt = x @ x.T
-
-    def base_for(pot):
-        return np.zeros(x.shape[1]) if anchor is None else pot.grad(anchor)
-
-    def project_dual(pot, w_guess):
-        # least-squares nu with base + X^T nu ~ grad psi(w_guess)
-        return solve_linear_system(xxt, x @ (pot.grad(w_guess) - base_for(pot)))
-
-    w = None
+    base = np.zeros(x.shape[1]) if anchor is None else potential.grad(anchor)
+    nu = solve_linear_system(x @ x.T, y - x @ potential.grad_inverse(base))
     try:
-        if isinstance(potential, QNorm) and not 1.5 <= potential.q <= 3.0:
-            # geometric walk of q-1 from 1 to the target, at most x1.6 per stage
-            import math
-            target = potential.q - 1.0
-            stages = max(1, math.ceil(abs(math.log(target)) / math.log(1.6)))
-            w_guess = potential.grad_inverse(base_for(potential))  # stage-0 seed
-            nu = solve_linear_system(xxt, y - x @ w_guess)
-            for k in range(1, stages + 1):
-                pot = QNorm(1.0 + target ** (k / stages))
-                if w is not None:
-                    nu = project_dual(pot, w)
-                stage_tol = tol if k == stages else 1e-8
-                w, nu = _dual_newton(x, y, pot, base_for(pot), nu, stage_tol, max_iter)
-            return w
-        base = base_for(potential)
-        nu = solve_linear_system(xxt, y - x @ potential.grad_inverse(base))
-        w, _ = _dual_newton(x, y, potential, base, nu, tol, max_iter)
-        return w
+        return _dual_newton(x, y, potential, base, nu)
     except NewtonDivergenceError:
-        # large-q instances can make the dual map too stiff; retry in the
-        # primal where feasibility is exact by construction
-        if w is None:
-            w = x.T @ solve_linear_system(xxt, y)
-        return _nullspace_newton(x, y, potential, anchor, w, max_iter=max_iter)
+        return _nullspace_newton(x, y, potential, anchor, min_norm_l2(problem))
 
 
 def ridge_closed_form(rp):
@@ -250,7 +222,7 @@ def _max_step(potential, w, step):
     return min(1.0, float(np.min((1.0 - _BOUNDARY_SHARE) * w[shrink] / -step[shrink])))
 
 
-def regularized_reference(rp, grad_tol=1e-9, max_iter=5000):
+def regularized_reference(rp, max_iter=5000):
     """High-precision minimizer of the regularized batch objective.
 
     Damped Newton with an adaptive Tikhonov shift and Armijo
@@ -274,7 +246,7 @@ def regularized_reference(rp, grad_tol=1e-9, max_iter=5000):
     def objective(v):
         try:
             return regularized_objective(rp, v)
-        except Exception:
+        except DomainError:
             return float("inf")
 
     def gradient(v):
@@ -284,7 +256,7 @@ def regularized_reference(rp, grad_tol=1e-9, max_iter=5000):
     for _ in range(max_iter):
         grad = gradient(w)
         grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm < grad_tol:
+        if grad_norm < _GRAD_TOL:
             return w
         hess = rp.lam * xtx + np.diag(rp.potential.curvature(w))
         # Entropy curvature 1/w can span dozens of orders of magnitude,

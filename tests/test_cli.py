@@ -74,6 +74,14 @@ def test_oracle_subcommand(capsys):
     assert residual < 1e-9
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("potential", ["l2", "q:3", "q:1.5", "l1eps", "linf", "entropy"])
+def test_oracle_dual_solves_every_advertised_potential(capsys, potential):
+    assert main(["oracle", "--kind", "dual", "--potential", potential]) == 0
+    residual = float(capsys.readouterr().out.split("max |Xw - y| = ")[1].split()[0])
+    assert residual < 1e-9
+
+
 def test_oracle_reference_reports_objective(capsys):
     assert main(["oracle", "--kind", "reference", "--n", "3", "--p", "8",
                  "--potential", "q:3", "--lambda", "0.5"]) == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regmirror.numerics import rng_stream
-from regmirror.oracle import (InterpolationProblem, RegularizedProblem,
+from regmirror.oracle import (InterpolationProblem, RegularizedProblem, _nullspace_newton,
                               min_norm_l2, min_potential_dual,
                               regularized_objective, regularized_reference,
                               ridge_closed_form)
@@ -87,6 +87,58 @@ class TestMinPotentialDual:
         problem = InterpolationProblem(np.array([[1.0, 1.0, 1.0]]), np.array([3.0]))
         w = min_potential_dual(problem, NegativeEntropy())
         assert np.allclose(w, [1.0, 1.0, 1.0], atol=1e-9)
+
+    def test_nullspace_answer_does_not_depend_on_start(self):
+        # q = 10 gradients are ~1e-9 near the minimizer, so an absolute
+        # stationarity test stopped wherever the start left it.
+        potential = QNorm(10.0)
+        for seed in range(12):
+            rng = rng_stream(seed)
+            x = rng.standard_normal((10, 30))
+            y = rng.standard_normal(10)
+            w_min_norm = min_norm_l2(InterpolationProblem(x, y))
+            shift = 0.05 * rng.standard_normal(30)
+            shift -= x.T @ np.linalg.solve(x @ x.T, x @ shift)  # stay in the null space
+            w_a = _nullspace_newton(x, y, potential, None, w_min_norm)
+            w_b = _nullspace_newton(x, y, potential, None, w_min_norm + shift)
+            assert np.max(np.abs(w_a - w_b)) <= 1e-6 * np.max(np.abs(w_a))
+            assert potential.value(w_b) == pytest.approx(potential.value(w_a), rel=1e-9)
+
+    def test_anchored_q16_needs_steepest_descent(self):
+        # The dual attempt fails and the null-space Newton's line search
+        # fails on the way; without a steepest-descent step the solver
+        # stalls at a null-space gradient of 0.37.
+        rng = np.random.default_rng([3, 20, 60, True])
+        x = rng.standard_normal((20, 60))
+        y = rng.standard_normal(20)
+        anchor = 0.3 * rng.standard_normal(60)
+        potential = QNorm(16.0)
+        w = min_potential_dual(InterpolationProblem(x, y), potential, anchor=anchor)
+        assert np.max(np.abs(x @ w - y)) < 1e-9
+        g = potential.grad(w) - potential.grad(anchor)
+        proj = x.T @ np.linalg.solve(x @ x.T, x @ g)
+        assert np.max(np.abs(g - proj)) <= 1e-7 * np.max(np.abs(g))
+
+
+class _BrokenValue(SquaredL2):
+    """Squared-l2 whose value() has a bug, and whose dual map is constant so
+    that the dual attempt stalls and the primal fallback runs."""
+
+    def value(self, w):
+        raise TypeError("bug in value()")
+
+    def grad_inverse(self, v):
+        return np.zeros_like(v)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda problem: min_potential_dual(problem, _BrokenValue()),
+    lambda problem: regularized_reference(RegularizedProblem(problem, 1.0, _BrokenValue())),
+], ids=["min_potential_dual", "regularized_reference"])
+def test_bug_in_potential_is_not_read_as_leaving_its_domain(solve):
+    # only a DomainError means "outside the domain, objective = inf"
+    with pytest.raises(TypeError, match="bug in value"):
+        solve(random_problem(3, 8, seed=9))
 
 
 class TestRidgeClosedForm:
