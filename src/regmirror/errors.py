@@ -29,10 +29,6 @@ class NewtonDivergenceError(RegmirrorError):
     """Damped Newton failed to reach the target residual."""
 
 
-class MaxIterationsError(RegmirrorError):
-    """Iterative solver hit its iteration cap before converging."""
-
-
 class ConfigError(RegmirrorError):
     """Experiment configuration could not be parsed or validated."""
 

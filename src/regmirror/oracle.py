@@ -1,18 +1,19 @@
 """Independent ground-truth solvers for linear-model convergence targets.
 
-These share nothing with the stochastic optimizers: feasible targets
-are solved through the dual KKT system, with a primal null-space Newton
-where the dual one fails, regularized targets through a closed form
-(squared-l2) or a damped Newton descent on the exact batch objective.
-They exist so training runs can be checked against solutions computed
-by a different route.
+These share nothing with the stochastic optimizers. Feasible targets
+are solved through the dual KKT system, the squared-l2 regularized
+target through its closed form. One damped primal Newton (``_newton``)
+on the exact objective serves the rest: over the null space of X where
+the dual Newton fails, and over all of R^p for the regularized
+reference in every geometry. They exist so training runs can be checked
+against solutions computed by a different route.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .errors import DomainError, MaxIterationsError, NewtonDivergenceError, SingularMatrixError
+from .errors import DomainError, NewtonDivergenceError, SingularMatrixError
 from .potentials import NegativeEntropy, SquaredL2
 from .numerics import solve_linear_system
 
@@ -50,9 +51,7 @@ def min_norm_l2(problem):
 
 
 _DUAL_TOL = 1e-10  # max |X w - y| that ends the dual attempt
-_STAT_TOL = 1e-9   # max |N^T g| / max |g| that ends the null-space fallback
 _MAX_ITER = 500    # Newton iterations of either interpolation solver
-_GRAD_TOL = 1e-9   # max |gradient| that ends regularized_reference
 
 
 def _dual_newton(x, y, potential, base, nu):
@@ -98,15 +97,104 @@ def _shifted_solve(hess, rhs):
             shift = max(10.0 * shift, 1e-10)
 
 
+def _newton(objective, w, x, y, lam, potential, anchor_grad, nmat=None, max_iter=_MAX_ITER):
+    """Minimize lam/2 ||X w - y||^2 + psi(w) - <anchor_grad, w> over w + range(N).
+
+    ``nmat`` is an orthonormal basis N of the search space (None: all of
+    R^p). ``objective`` is the function, equal to this one up to a
+    constant, whose value the line search compares; a ``DomainError``
+    from it reads as +inf. The potential contributes only its separable
+    curvature, so the Hessian is lam X^T X plus a diagonal, restricted
+    to range(N).
+
+    Stops when the gradient is at most 1e-9 min(1, s), s = max |grad
+    psi(w) - anchor_grad|: absolute where the potential's gradient is of
+    order one or more, relative where it is small (q = 10 near its
+    minimizer). Each step is Armijo backtracking along the Newton step,
+    then along -grad, capped at the potential's domain. When neither
+    descends, a step leaves w unchanged or ``max_iter`` runs out, w is
+    accepted if the gradient is within 1e-6 of the size of its terms.
+    """
+    xtx, xty = x.T @ x, x.T @ y
+
+    def extend(u):
+        return u if nmat is None else nmat @ u
+
+    def value(v):
+        try:
+            return objective(v)
+        except DomainError:
+            return float("inf")
+
+    def gradient(v):
+        """Gradient over range(N) at v, its max norm, and s at v."""
+        psi_grad = potential.grad(v)
+        grad = lam * (xtx @ v - xty) + psi_grad - anchor_grad
+        grad = grad if nmat is None else nmat.T @ grad
+        return grad, float(np.max(np.abs(grad))), float(np.max(np.abs(psi_grad - anchor_grad)))
+
+    f = value(w)
+    for _ in range(max_iter):
+        grad, grad_norm, scale = gradient(w)
+        if grad_norm <= 1e-9 * min(1.0, scale):
+            return w
+        hess = lam * xtx + np.diag(potential.curvature(w))
+        if nmat is not None:
+            hess = nmat.T @ hess @ nmat
+        # Entropy curvature 1/w can span dozens of orders of magnitude,
+        # which the elimination's pivot test reads as singular; solve the
+        # Jacobi-scaled system D H D u = -D g, step = D u, for it instead
+        # (D = 1 leaves every other potential's step unchanged to the bit).
+        d = (1.0 / np.sqrt(np.diag(hess)) if isinstance(potential, NegativeEntropy)
+             else np.ones(len(grad)))
+        newton = d * _shifted_solve(d[:, None] * hess * d, -d * grad)
+        decrease = float(grad @ newton)
+        if 0.0 < -decrease <= _FLAT_DECREASE * abs(f):
+            # The predicted decrease is below f's rounding error, so the
+            # Armijo test can no longer tell a good step from a bad one.
+            # Next to the minimizer, judge the full Newton step by the
+            # gradient it leaves instead.
+            # A step that leaves the potential's domain has f = inf and
+            # no gradient; it goes to the backtracking below.
+            step = extend(newton)
+            w_try = w + _max_step(potential, w, step) * step
+            f_try = value(w_try)
+            if f_try < float("inf") and gradient(w_try)[1] < grad_norm:
+                w, f = w_try, f_try
+                continue
+        # Armijo backtracking along the Newton step, then along -grad;
+        # "not <=" also rejects a NaN objective (inf - inf)
+        for direction in (newton, -grad):
+            step = extend(direction)
+            decrease = float(grad @ direction)
+            t = _max_step(potential, w, step)
+            while t > 1e-16 and not (f_try := value(w + t * step)) <= f + 1e-4 * t * decrease:
+                t *= 0.5
+            if t > 1e-16:
+                break
+        else:
+            break  # neither direction descends in double precision
+        w_next = w + t * step
+        if np.array_equal(w_next, w):
+            break
+        w, f = w_next, f_try
+    _, grad_norm, _ = gradient(w)
+    terms = max(float(np.max(np.abs(term)))
+                for term in (lam * (xtx @ w), lam * xty, potential.grad(w), anchor_grad))
+    if grad_norm <= 1e-6 * terms:
+        return w  # flat directions converged as far as double precision allows
+    raise NewtonDivergenceError(f"Newton stalled at gradient {grad_norm:.3e}")
+
+
 def _nullspace_newton(x, y, potential, anchor, w_start):
     """Feasible primal Newton over the null space of X.
 
-    Writes w = w_feas + N u with N an orthonormal null-space basis, so
-    X w = y holds to machine precision throughout, and minimizes the
-    (anchored) potential in u. The primal Hessian stays bounded where the
-    dual one blows up (large q, near-zero coordinates). Stationarity is
-    relative to the gradient's size and a rejected Newton step falls back
-    to steepest descent, so the answer does not depend on ``w_start``.
+    Projects ``w_start`` onto X w = y and minimizes the (anchored)
+    potential over w_feas + range(N), N an orthonormal null-space basis,
+    with ``_newton``, so X w = y holds to machine precision throughout.
+    The primal Hessian stays bounded where the dual one blows up (large
+    q, near-zero coordinates), and the stationarity test is relative to
+    the gradient's size, so the answer does not depend on ``w_start``.
     """
     n, p = x.shape
     u_svd, s, vt = np.linalg.svd(x, full_matrices=True)
@@ -116,43 +204,11 @@ def _nullspace_newton(x, y, potential, anchor, w_start):
     nmat = vt[n:].T
     anchor_grad = np.zeros(p) if anchor is None else potential.grad(anchor)
 
-    def objective(u):
-        w = w_feas + nmat @ u
-        try:
-            return potential.value(w) - float(anchor_grad @ w)
-        except DomainError:
-            return float("inf")
+    def objective(w):
+        return potential.value(w) - float(anchor_grad @ w)
 
-    def stationarity(u):
-        """w, N^T g and max |g| at u, for g = grad psi(w) - grad psi(anchor)."""
-        w = w_feas + nmat @ u
-        grad_w = potential.grad(w) - anchor_grad
-        return w, nmat.T @ grad_w, float(np.max(np.abs(grad_w)))
-
-    u = nmat.T @ (w_start - w_feas)
-    f = objective(u)
-    for _ in range(_MAX_ITER):
-        w, grad_u, scale = stationarity(u)
-        if float(np.max(np.abs(grad_u))) <= _STAT_TOL * scale:
-            return w
-        hess_u = nmat.T @ (nmat * potential.curvature(w)[:, None])
-        # Armijo backtracking along the Newton step, then along -grad_u;
-        # "not <=" also rejects a NaN objective (inf - inf)
-        for step in (_shifted_solve(hess_u, -grad_u), -grad_u):
-            bound, t = 1e-4 * float(grad_u @ step), 1.0
-            while t > 1e-16 and not objective(u + t * step) <= f + t * bound:
-                t *= 0.5
-            if t > 1e-16:
-                break
-        else:
-            break  # neither direction descends in double precision
-        u = u + t * step
-        f = objective(u)
-    w, grad_u, scale = stationarity(u)
-    grad_norm = float(np.max(np.abs(grad_u)))
-    if grad_norm <= 1e-6 * scale:
-        return w  # flat directions converged as far as double precision allows
-    raise NewtonDivergenceError(f"null-space Newton stalled at stationarity {grad_norm:.3e}")
+    w = w_feas + nmat @ (nmat.T @ (w_start - w_feas))
+    return _newton(objective, w, x, y, 0.0, potential, anchor_grad, nmat)
 
 
 def min_potential_dual(problem, potential, anchor=None):
@@ -225,76 +281,17 @@ def _max_step(potential, w, step):
 def regularized_reference(rp, max_iter=5000):
     """High-precision minimizer of the regularized batch objective.
 
-    Damped Newton with an adaptive Tikhonov shift and Armijo
-    backtracking on the exact objective; the potential contributes only
-    its separable curvature, so the Hessian is lam X^T X plus a
-    diagonal. Independent of every stochastic code path. For the
-    negative entropy the Newton system is Jacobi-scaled and every step is
-    capped at a fraction to the boundary (``_max_step``).
+    ``_newton`` over all of R^p, judged by ``regularized_objective`` and
+    started at the anchor, at 0 or, for the negative entropy, at 0.1.
+    Independent of every stochastic code path.
     """
     x, y = rp.problem.X, rp.problem.y
     p = x.shape[1]
-    anchor_grad = (np.zeros(p) if rp.anchor is None
-                   else rp.potential.grad(np.asarray(rp.anchor, dtype=float)))
-    xtx = x.T @ x
-
-    if isinstance(rp.potential, NegativeEntropy):
-        w = np.full(p, 0.1) if rp.anchor is None else np.array(rp.anchor, dtype=float)
+    if rp.anchor is None:
+        w = np.full(p, 0.1) if isinstance(rp.potential, NegativeEntropy) else np.zeros(p)
+        anchor_grad = np.zeros(p)
     else:
-        w = np.zeros(p) if rp.anchor is None else np.array(rp.anchor, dtype=float)
-
-    def objective(v):
-        try:
-            return regularized_objective(rp, v)
-        except DomainError:
-            return float("inf")
-
-    def gradient(v):
-        return rp.lam * (xtx @ v - x.T @ y) + rp.potential.grad(v) - anchor_grad
-
-    f = objective(w)
-    for _ in range(max_iter):
-        grad = gradient(w)
-        grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm < _GRAD_TOL:
-            return w
-        hess = rp.lam * xtx + np.diag(rp.potential.curvature(w))
-        # Entropy curvature 1/w can span dozens of orders of magnitude,
-        # which the elimination's pivot test reads as singular; solve the
-        # Jacobi-scaled system D H D u = -D g, step = D u, for it instead
-        # (D = 1 leaves every other potential's step unchanged to the bit).
-        d = (1.0 / np.sqrt(np.diag(hess)) if isinstance(rp.potential, NegativeEntropy)
-             else np.ones(p))
-        hess = d[:, None] * hess * d
-        step = d * _shifted_solve(hess, -d * grad)
-        decrease = float(grad @ step)
-        if 0.0 < -decrease <= _FLAT_DECREASE * abs(f):
-            # The predicted decrease is below f's rounding error, so the
-            # Armijo test can no longer tell a good step from a bad one.
-            # Next to the minimizer, judge the full Newton step by the
-            # gradient it leaves instead.
-            # A step that leaves the potential's domain has f = inf and
-            # no gradient; it goes to the backtracking below.
-            w_try = w + _max_step(rp.potential, w, step) * step
-            f_try = objective(w_try)
-            if f_try < float("inf") and float(np.max(np.abs(gradient(w_try)))) < grad_norm:
-                w, f = w_try, f_try
-                continue
-        t = _max_step(rp.potential, w, step)
-        while t > 1e-16:
-            f_try = objective(w + t * step)
-            if f_try <= f + 1e-4 * t * decrease:
-                break
-            t *= 0.5
-        else:
-            # Newton direction rejected; fall back to a plain gradient step.
-            step = -grad
-            t = _max_step(rp.potential, w, step)
-            decrease = -float(grad @ grad)
-            while t > 1e-16 and objective(w + t * step) > f + 1e-4 * t * decrease:
-                t *= 0.5
-            f_try = objective(w + t * step)
-        w = w + t * step
-        f = f_try
-    raise MaxIterationsError(
-        f"reference solver stopped at gradient norm {grad_norm:.3e}")
+        w = np.array(rp.anchor, dtype=float)
+        anchor_grad = rp.potential.grad(w)
+    return _newton(lambda v: regularized_objective(rp, v), w, x, y, rp.lam, rp.potential,
+                   anchor_grad, max_iter=max_iter)

@@ -227,9 +227,9 @@ class TestRegularizedReference:
         assert np.max(np.abs(g)) < 1e-9
 
     @pytest.mark.parametrize("lam,make", [
-        # raised MaxIterationsError at gradient 11: the 1/w curvature
-        # (1e27 near w[0] = 3.3e-27) made the pivot test read the Hessian
-        # as singular, and the growing shift stalled every step
+        # ran out of iterations at gradient 11: the 1/w curvature (1e27
+        # near w[0] = 3.3e-27) made the pivot test read the Hessian as
+        # singular, and the growing shift stalled every step
         pytest.param(50.0, lambda: (np.array([[1.0, 0.5], [0.0, 1.0]]),
                                     np.array([-1.0, 1.0])), id="2x2"),
         # raised DomainError: a damped step reached w <= 0
@@ -243,6 +243,17 @@ class TestRegularizedReference:
         assert np.all(w > 0.0)
         assert np.min(w) < 1e-20  # the minimizer is orders of magnitude below the start
         assert np.max(np.abs(g)) < 1e-9
+
+    def test_linf_reference_is_stationary(self):
+        # q = 10 gradients are far below 1 near the minimizer, where an
+        # absolute stop at gradient 1e-9 left max |grad F| / max |grad psi|
+        # between 2.1e-6 and 8.5e-2 on these instances.
+        potential = QNorm(10.0)
+        for seed in range(12):
+            problem = random_problem(10, 30, seed)
+            w = regularized_reference(RegularizedProblem(problem, 1.0, potential))
+            g = problem.X.T @ (problem.X @ w - problem.y) + potential.grad(w)
+            assert np.max(np.abs(g)) <= 1e-6 * np.max(np.abs(potential.grad(w)))
 
     def test_objective_beats_training_run_value(self):
         # the reference must be at least as good as any other candidate
