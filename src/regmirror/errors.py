@@ -6,7 +6,7 @@ class RegmirrorError(Exception):
 
 
 class SingularMatrixError(RegmirrorError):
-    """Linear system has no reliable solution (pivot below tolerance)."""
+    """Linear system has no reliable solution (condition number above its bound)."""
 
 
 class DimensionMismatchError(RegmirrorError):

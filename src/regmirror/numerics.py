@@ -1,4 +1,4 @@
-"""Dense linear algebra helpers, BLAS threading and seeded randomness.
+"""Dense linear solves, BLAS threading and seeded randomness.
 
 Vectors and matrices are plain float64 numpy arrays throughout the
 package. All randomness flows through generators created by
@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-# Relative pivot threshold below which elimination refuses to proceed.
-PIVOT_TOL = 1e-12
+# Largest condition number of a system that solve_linear_system accepts.
+MAX_CONDITION = 1e12
 
 
 # (get, set) symbol pairs of numpy's bundled scipy-openblas and of a system OpenBLAS
@@ -85,36 +85,22 @@ def spawn_stream(seed, *path):
 
 
 def solve_linear_system(a, b):
-    """Solve A x = b by Gaussian elimination with partial pivoting.
+    """Solve A x = b with LAPACK (``numpy.linalg.solve``).
 
-    Raises SingularMatrixError when the largest available pivot falls
-    below PIVOT_TOL * max|A|. Intended for the small (<= a few hundred
-    dimensional) systems the oracles produce.
+    Raises SingularMatrixError when the 2-norm condition number of A
+    exceeds MAX_CONDITION, or when LAPACK finds A exactly singular.
+    Intended for the small (<= a few hundred dimensional) systems the
+    oracles produce.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n,):
         raise ValueError(f"expected square system, got A{a.shape}, b{b.shape}")
-
-    scale = np.max(np.abs(a)) if n else 0.0
-    if scale == 0.0:
-        raise SingularMatrixError("coefficient matrix is zero")
-
-    for k in range(n):
-        pivot_row = k + int(np.argmax(np.abs(a[k:, k])))
-        pivot = a[pivot_row, k]
-        if abs(pivot) < PIVOT_TOL * scale:
-            raise SingularMatrixError(f"pivot {pivot:.3e} below tolerance at column {k}")
-        if pivot_row != k:
-            a[[k, pivot_row]] = a[[pivot_row, k]]
-            b[[k, pivot_row]] = b[[pivot_row, k]]
-        factors = a[k + 1:, k] / pivot
-        a[k + 1:, k + 1:] -= np.outer(factors, a[k, k + 1:])
-        a[k + 1:, k] = 0.0
-        b[k + 1:] -= factors * b[k]
-
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x
+    condition = np.linalg.cond(a)
+    if condition > MAX_CONDITION:
+        raise SingularMatrixError(f"condition number {condition:.3e} above {MAX_CONDITION:.0e}")
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from exc

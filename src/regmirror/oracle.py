@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 
 from .errors import DomainError, NewtonDivergenceError, SingularMatrixError
-from .potentials import NegativeEntropy, SquaredL2
+from .potentials import NegativeEntropy, QNorm, SquaredL2
 from .numerics import solve_linear_system
 
 
@@ -73,13 +73,16 @@ def _dual_newton(x, y, potential, base, nu):
         diag = potential.grad_inverse_deriv(base + x.T @ nu)
         step = solve_linear_system((x * diag) @ x.T, -res)
         t = 1.0
-        while t > 1e-16:
-            w_try, res_try = residual(nu + t * step)
-            if float(np.linalg.norm(res_try)) < res_norm:
-                break
-            t *= 0.5
-        else:
-            raise NewtonDivergenceError(f"dual Newton stalled at residual {res_norm:.3e}")
+        # a trial point far out overflows to an infinite or NaN residual,
+        # which the test rejects like any other increase
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t > 1e-16:
+                w_try, res_try = residual(nu + t * step)
+                if float(np.linalg.norm(res_try)) < res_norm:
+                    break
+                t *= 0.5
+            else:
+                raise NewtonDivergenceError(f"dual Newton stalled at residual {res_norm:.3e}")
         nu = nu + t * step
         w, res = w_try, res_try
     raise NewtonDivergenceError(f"dual Newton stopped after {_MAX_ITER} iterations "
@@ -88,7 +91,7 @@ def _dual_newton(x, y, potential, base, nu):
 
 def _shifted_solve(hess, rhs):
     """Solve (H + shift I) x = rhs at the first shift of 0, 1e-10, 1e-9, ...
-    that elimination accepts as nonsingular."""
+    whose condition number ``solve_linear_system`` accepts."""
     shift = 0.0
     while True:
         try:
@@ -141,12 +144,15 @@ def _newton(objective, w, x, y, lam, potential, anchor_grad, nmat=None, max_iter
         hess = lam * xtx + np.diag(potential.curvature(w))
         if nmat is not None:
             hess = nmat.T @ hess @ nmat
-        # Entropy curvature 1/w can span dozens of orders of magnitude,
-        # which the elimination's pivot test reads as singular; solve the
-        # Jacobi-scaled system D H D u = -D g, step = D u, for it instead
-        # (D = 1 leaves every other potential's step unchanged to the bit).
-        d = (1.0 / np.sqrt(np.diag(hess)) if isinstance(potential, NegativeEntropy)
-             else np.ones(len(grad)))
+        # Curvature that grows without bound near w = 0 (1/w for the
+        # entropy, |w|^(q-2) for q < 2) can span dozens of orders of
+        # magnitude, which the condition-number test reads as singular;
+        # solve the Jacobi-scaled system D H D u = -D g, step = D u, for it
+        # instead (D = 1 leaves every other potential's step unchanged to
+        # the bit).
+        unbounded = (isinstance(potential, NegativeEntropy)
+                     or (isinstance(potential, QNorm) and potential.q < 2.0))
+        d = 1.0 / np.sqrt(np.diag(hess)) if unbounded else np.ones(len(grad))
         newton = d * _shifted_solve(d[:, None] * hess * d, -d * grad)
         decrease = float(grad @ newton)
         if 0.0 < -decrease <= _FLAT_DECREASE * abs(f):
@@ -201,6 +207,8 @@ def _nullspace_newton(x, y, potential, anchor, w_start):
     if s[-1] < 1e-12 * s[0]:
         raise NewtonDivergenceError("design matrix is rank deficient")
     w_feas = vt[:n].T @ ((u_svd.T @ y) / s)
+    if n == p:
+        return w_feas  # X is invertible: the only interpolant
     nmat = vt[n:].T
     anchor_grad = np.zeros(p) if anchor is None else potential.grad(anchor)
 
@@ -217,8 +225,10 @@ def min_potential_dual(problem, potential, anchor=None):
     Solves the KKT conditions grad psi(w) = grad psi(a) + X^T nu,
     X w = y by damped Newton on the dual variable nu, warm started from
     the l2 dual (at nu = 0 the q-norm Jacobian can be singular or
-    unbounded). Where that fails (a dual map too stiff, as at large q),
-    ``_nullspace_newton`` solves the primal from the min-norm interpolant.
+    unbounded). Where that fails (a dual map too stiff, as at large q, or
+    a singular Jacobian), ``_nullspace_newton`` solves the primal from
+    the min-norm interpolant. The negative entropy needs a positive start,
+    so when that interpolant is not positive it raises instead.
     """
     x, y = problem.X, problem.y
     anchor = None if anchor is None else np.asarray(anchor, dtype=float)
@@ -226,8 +236,11 @@ def min_potential_dual(problem, potential, anchor=None):
     nu = solve_linear_system(x @ x.T, y - x @ potential.grad_inverse(base))
     try:
         return _dual_newton(x, y, potential, base, nu)
-    except NewtonDivergenceError:
-        return _nullspace_newton(x, y, potential, anchor, min_norm_l2(problem))
+    except (NewtonDivergenceError, SingularMatrixError) as exc:
+        w_start = min_norm_l2(problem)
+        if isinstance(potential, NegativeEntropy) and not np.all(w_start > 0.0):
+            raise NewtonDivergenceError(f"no positive interpolant found ({exc})") from exc
+    return _nullspace_newton(x, y, potential, anchor, w_start)
 
 
 def ridge_closed_form(rp):

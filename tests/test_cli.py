@@ -82,8 +82,21 @@ def test_oracle_dual_solves_every_advertised_potential(capsys, potential):
     assert residual < 1e-9
 
 
-# l1eps is left out: its reference still stalls on a coordinate near 0
-# whose curvature QNorm.curvature clips at 1e12 (ROADMAP item 3).
+# seeded instances on which no positive interpolant exists: the dual Newton
+# meets a singular Jacobian (10x10, 20x24) or stalls (5x6)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, p", [(10, 10), (20, 24), (5, 6)])
+def test_oracle_entropy_dual_without_positive_interpolant_is_one_error_line(capsys, n, p):
+    assert main(["oracle", "--kind", "dual", "--potential", "entropy",
+                 "--n", str(n), "--p", str(p)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: no positive interpolant found")
+    assert captured.out == ""
+
+
+# l1eps is left out: its reference still stalls on a coordinate near 0,
+# where f no longer changes under steps that small (ROADMAP item 3).
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("potential", ["l2", "q:3", "q:1.5", "linf", "entropy"])
 def test_oracle_reference_solves_every_advertised_potential(capsys, potential):

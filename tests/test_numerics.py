@@ -28,6 +28,23 @@ class TestSolveLinearSystem:
         with pytest.raises(SingularMatrixError):
             solve_linear_system(np.zeros((2, 2)), np.zeros(2))
 
+    def test_singularity_threshold(self):
+        # condition number 1e13 is past MAX_CONDITION = 1e12, 1e11 is not
+        with pytest.raises(SingularMatrixError):
+            solve_linear_system(np.diag([1.0, 1e-13]), np.ones(2))
+        x = solve_linear_system(np.diag([1.0, 1e-11]), np.array([2.0, 3e-11]))
+        np.testing.assert_allclose(x, [2.0, 3.0], rtol=4 * np.finfo(float).eps, atol=0)
+
+    def test_badly_scaled_matrix_raises(self):
+        # the entropy Hessian's 1/w curvature can be this badly scaled,
+        # which is why oracle._newton Jacobi-scales it before solving
+        with pytest.raises(SingularMatrixError):
+            solve_linear_system(np.array([[1e27, 1.0], [1.0, 1.0]]), np.ones(2))
+
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError):
+            solve_linear_system(np.ones((2, 3)), np.ones(2))
+
     def test_residual_contract(self):
         rng = rng_stream(11)
         for _ in range(20):

@@ -88,6 +88,15 @@ class TestMinPotentialDual:
         w = min_potential_dual(problem, NegativeEntropy())
         assert np.allclose(w, [1.0, 1.0, 1.0], atol=1e-9)
 
+    @pytest.mark.parametrize("potential", [QNorm(1.1), QNorm(10.0), QNorm(16.0)],
+                             ids=lambda p: p.name)
+    def test_square_system_returns_the_only_interpolant(self, potential):
+        # the dual Newton fails on this instance, and the null space the
+        # fallback searches is empty
+        problem = random_problem(10, 10, seed=0)
+        w = min_potential_dual(problem, potential)
+        assert np.allclose(w, np.linalg.solve(problem.X, problem.y), rtol=1e-12, atol=1e-12)
+
     def test_nullspace_answer_does_not_depend_on_start(self):
         # q = 10 gradients are ~1e-9 near the minimizer, so an absolute
         # stationarity test stopped wherever the start left it.
@@ -254,6 +263,26 @@ class TestRegularizedReference:
             w = regularized_reference(RegularizedProblem(problem, 1.0, potential))
             g = problem.X.T @ (problem.X @ w - problem.y) + potential.grad(w)
             assert np.max(np.abs(g)) <= 1e-6 * np.max(np.abs(potential.grad(w)))
+
+    @pytest.mark.parametrize("seed, n, p, anchored", [
+        # stalled while the curvature near a zero coordinate was clipped
+        # at 1e12, with or without the Jacobi scaling (unscaled, the
+        # condition-number test read the Hessian as singular)
+        pytest.param(3, 10, 30, True, id="10x30-anchored"),
+        # stalled with the clipped curvature, and also unclipped without
+        # the Jacobi scaling
+        pytest.param(2, 4, 12, False, id="4x12"),
+    ])
+    def test_l1eps_reference_is_stationary(self, seed, n, p, anchored):
+        rng = np.random.default_rng([seed, n, p, anchored])
+        x, y = rng.standard_normal((n, p)), rng.standard_normal(n)
+        anchor = 0.3 * rng.standard_normal(p) if anchored else None
+        potential = QNorm(1.1)
+        w = regularized_reference(
+            RegularizedProblem(InterpolationProblem(x, y), 1.0, potential, anchor))
+        psi_grad = potential.grad(w) - (0.0 if anchor is None else potential.grad(anchor))
+        g = x.T @ (x @ w - y) + psi_grad
+        assert np.max(np.abs(g)) <= 1e-6 * np.max(np.abs(psi_grad))
 
     def test_objective_beats_training_run_value(self):
         # the reference must be at least as good as any other candidate
