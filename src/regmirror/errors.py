@@ -6,7 +6,8 @@ class RegmirrorError(Exception):
 
 
 class SingularMatrixError(RegmirrorError):
-    """Linear system has no reliable solution (condition number above its bound)."""
+    """Linear system has no reliable solution (condition number above its bound,
+    or a non-finite matrix entry)."""
 
 
 class DimensionMismatchError(RegmirrorError):

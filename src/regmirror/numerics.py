@@ -85,22 +85,34 @@ def spawn_stream(seed, *path):
 
 
 def solve_linear_system(a, b):
-    """Solve A x = b with LAPACK (``numpy.linalg.solve``).
+    """Solve the symmetric system A x = b with LAPACK (``numpy.linalg.solve``).
 
-    Raises SingularMatrixError when the 2-norm condition number of A
-    exceeds MAX_CONDITION, or when LAPACK finds A exactly singular.
-    Intended for the small (<= a few hundred dimensional) systems the
-    oracles produce.
+    A must be symmetric up to rounding, as every system the oracles build
+    is (X X^T, X D X^T, the ridge dual I + lam X X^T and the Newton
+    Hessians); its lower triangle alone sets the condition test. For a
+    symmetric A the 2-norm condition number is max |eig| / min |eig|, so
+    it comes from ``numpy.linalg.eigvalsh``, about half the work of the
+    SVD a general matrix needs. Raises SingularMatrixError when that
+    number exceeds MAX_CONDITION, when A has a non-finite entry, or when
+    LAPACK finds A exactly singular. Intended for the small (<= a few
+    hundred dimensional) systems the oracles produce.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n,):
         raise ValueError(f"expected square system, got A{a.shape}, b{b.shape}")
-    condition = np.linalg.cond(a)
-    if condition > MAX_CONDITION:
-        raise SingularMatrixError(f"condition number {condition:.3e} above {MAX_CONDITION:.0e}")
+    # LAPACK's eigenvalue solver can return finite values for a matrix
+    # holding a NaN, so such a matrix is refused before it
+    if not np.isfinite(a).all():
+        raise SingularMatrixError("matrix has a non-finite entry")
     try:
+        eig = np.abs(np.linalg.eigvalsh(a))
+        smallest = eig.min()
+        condition = eig.max() / smallest if smallest > 0.0 else np.inf
+        # "not <=" also refuses a NaN condition number
+        if not condition <= MAX_CONDITION:
+            raise SingularMatrixError(f"condition number {condition:.3e} above {MAX_CONDITION:.0e}")
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc

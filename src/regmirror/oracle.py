@@ -98,6 +98,8 @@ def _shifted_solve(hess, rhs):
             return solve_linear_system(hess + shift * np.eye(len(rhs)), rhs)
         except SingularMatrixError:
             shift = max(10.0 * shift, 1e-10)
+            if shift == float("inf"):
+                raise  # no finite shift mends a Hessian with a non-finite entry
 
 
 def _newton(objective, w, x, y, lam, potential, anchor_grad, nmat=None, max_iter=_MAX_ITER):
@@ -246,15 +248,21 @@ def min_potential_dual(problem, potential, anchor=None):
 def ridge_closed_form(rp):
     """Minimizer of lam/2 ||y - X w||^2 + 1/2 ||w - a||^2.
 
-    Squared-l2 potential only; the normal matrix lam X^T X + I is
-    positive definite for every lam > 0.
+    Squared-l2 potential only. The minimizer solves the p x p normal
+    system (lam X^T X + I) w = lam X^T y + a; by the push-through
+    identity it is w = a + X^T nu with the n x n system
+    (I + lam X X^T) nu = lam (y - X a), which is smaller since p >= n.
+    Its eigenvalues are 1 + lam s_i^2 over the singular values s_i of X,
+    so it is positive definite for every lam > 0 and never worse
+    conditioned than the normal matrix, which adds p - n eigenvalues 1.
     """
     if not isinstance(rp.potential, SquaredL2):
         raise ValueError("closed form requires the squared-l2 potential")
     x, y = rp.problem.X, rp.problem.y
-    p = x.shape[1]
+    n, p = x.shape
     a = np.zeros(p) if rp.anchor is None else np.asarray(rp.anchor, dtype=float)
-    return solve_linear_system(rp.lam * (x.T @ x) + np.eye(p), rp.lam * (x.T @ y) + a)
+    nu = solve_linear_system(np.eye(n) + rp.lam * (x @ x.T), rp.lam * (y - x @ a))
+    return a + x.T @ nu
 
 
 def regularized_objective(rp, w):

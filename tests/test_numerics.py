@@ -5,6 +5,13 @@ from regmirror.errors import SingularMatrixError
 from regmirror.numerics import rng_stream, solve_linear_system, spawn_stream
 
 
+def _with_spectrum(eigenvalues):
+    """Dense symmetric Q diag(eigenvalues) Q^T with Q a seeded random orthogonal matrix."""
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(rng_stream(3).standard_normal((n, n)))
+    return (q * eigenvalues) @ q.T
+
+
 class TestSolveLinearSystem:
     def test_identity(self):
         x = solve_linear_system(np.eye(2), np.array([3.0, 4.0]))
@@ -27,6 +34,10 @@ class TestSolveLinearSystem:
             solve_linear_system(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
         with pytest.raises(SingularMatrixError):
             solve_linear_system(np.zeros((2, 2)), np.zeros(2))
+        # non-finite entries; LAPACK's eigenvalue solver reads the NaN one as well conditioned
+        for bad in (np.nan, np.inf):
+            with pytest.raises(SingularMatrixError):
+                solve_linear_system(np.array([[bad, 1.0], [1.0, 1.0]]), np.ones(2))
 
     def test_singularity_threshold(self):
         # condition number 1e13 is past MAX_CONDITION = 1e12, 1e11 is not
@@ -34,6 +45,17 @@ class TestSolveLinearSystem:
             solve_linear_system(np.diag([1.0, 1e-13]), np.ones(2))
         x = solve_linear_system(np.diag([1.0, 1e-11]), np.array([2.0, 3e-11]))
         np.testing.assert_allclose(x, [2.0, 3.0], rtol=4 * np.finfo(float).eps, atol=0)
+        # the same two bounds on dense symmetric matrices of known spectrum
+        with pytest.raises(SingularMatrixError):
+            solve_linear_system(_with_spectrum(np.geomspace(1.0, 1e-13, 8)), np.ones(8))
+        a = _with_spectrum(np.geomspace(1.0, 1e-11, 8))
+        b = a @ np.arange(1.0, 9.0)
+        x = solve_linear_system(a, b)
+        assert np.max(np.abs(a @ x - b)) <= 1e-12 * np.max(np.abs(b))
+        # indefinite but well conditioned: the test reads |eigenvalue|
+        a = _with_spectrum(np.concatenate([np.arange(1.0, 11.0), -np.arange(1.0, 11.0)]))
+        x = solve_linear_system(a, np.ones(20))
+        np.testing.assert_allclose(a @ x, np.ones(20), rtol=0, atol=1e-13)
 
     def test_badly_scaled_matrix_raises(self):
         # the entropy Hessian's 1/w curvature can be this badly scaled,
@@ -49,7 +71,8 @@ class TestSolveLinearSystem:
         rng = rng_stream(11)
         for _ in range(20):
             n = int(rng.integers(2, 40))
-            a = rng.standard_normal((n, n)) + n * np.eye(n)
+            m = rng.standard_normal((n, n))
+            a = (m + m.T) / 2 + n * np.eye(n)
             b = rng.standard_normal(n)
             x = solve_linear_system(a, b)
             assert np.max(np.abs(a @ x - b)) <= 1e-10 * (1 + np.max(np.abs(b)))
@@ -57,7 +80,8 @@ class TestSolveLinearSystem:
     @pytest.mark.parametrize("n", [50, 120, 200])
     def test_roundtrip_well_conditioned(self, n):
         rng = rng_stream(n)
-        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        m = rng.standard_normal((n, n))
+        a = (m + m.T) / 2 + n * np.eye(n)
         b = rng.standard_normal(n)
         x = solve_linear_system(a, b)
         assert np.linalg.norm(a @ x - b) <= 1e-9 * np.linalg.norm(b)

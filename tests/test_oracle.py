@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from regmirror.errors import SingularMatrixError
 from regmirror.numerics import rng_stream
 from regmirror.oracle import (InterpolationProblem, RegularizedProblem, _nullspace_newton,
-                              min_norm_l2, min_potential_dual,
+                              _shifted_solve, min_norm_l2, min_potential_dual,
                               regularized_objective, regularized_reference,
                               ridge_closed_form)
 from regmirror.potentials import NegativeEntropy, QNorm, SquaredL2
@@ -150,6 +151,13 @@ def test_bug_in_potential_is_not_read_as_leaving_its_domain(solve):
         solve(random_problem(3, 8, seed=9))
 
 
+@pytest.mark.filterwarnings("error")
+def test_shift_search_gives_up_on_non_finite_hessian():
+    # no shift makes a NaN Hessian solvable; the search must end, not spin
+    with pytest.raises(SingularMatrixError):
+        _shifted_solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
+
+
 class TestRidgeClosedForm:
     def test_hand_instance(self):
         rp = RegularizedProblem(
@@ -166,6 +174,13 @@ class TestRidgeClosedForm:
         anchor = rng_stream(44).standard_normal(8)
         w = ridge_closed_form(RegularizedProblem(problem, 1e-12, SquaredL2(), anchor))
         assert np.allclose(w, anchor, atol=1e-9)
+
+    def test_huge_lambda_returns_min_norm_interpolant(self):
+        # the p x p normal matrix has condition number 2.2e14 here, past
+        # MAX_CONDITION; the n x n dual system stays well conditioned
+        problem = random_problem(4, 12, seed=6)
+        w = ridge_closed_form(RegularizedProblem(problem, 1e13, SquaredL2()))
+        np.testing.assert_allclose(w, min_norm_l2(problem), rtol=0, atol=1e-9)
 
     def test_objective_no_worse_than_anchor(self):
         problem = random_problem(4, 9, seed=5)
