@@ -84,35 +84,61 @@ def spawn_stream(seed, *path):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, path)])))
 
 
-def solve_linear_system(a, b):
-    """Solve the symmetric system A x = b with LAPACK (``numpy.linalg.solve``).
+def condition_number(a):
+    """2-norm condition number max |eig| / min |eig| of the symmetric matrix A.
 
-    A must be symmetric up to rounding, as every system the oracles build
-    is (X X^T, X D X^T, the ridge dual I + lam X X^T and the Newton
-    Hessians); its lower triangle alone sets the condition test. For a
-    symmetric A the 2-norm condition number is max |eig| / min |eig|, so
-    it comes from ``numpy.linalg.eigvalsh``, about half the work of the
-    SVD a general matrix needs. Raises SingularMatrixError when that
-    number exceeds MAX_CONDITION, when A has a non-finite entry, or when
-    LAPACK finds A exactly singular. Intended for the small (<= a few
-    hundred dimensional) systems the oracles produce.
+    The eigenvalues come from ``numpy.linalg.eigvalsh``, which reads only
+    A's lower triangle and does about half the work of the SVD a general
+    matrix needs. Returns a Python float, inf for a singular A. Raises
+    SingularMatrixError when A has a non-finite entry or LAPACK's
+    eigenvalue solver fails.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
-        raise ValueError(f"expected square system, got A{a.shape}, b{b.shape}")
     # LAPACK's eigenvalue solver can return finite values for a matrix
     # holding a NaN, so such a matrix is refused before it
     if not np.isfinite(a).all():
         raise SingularMatrixError("matrix has a non-finite entry")
     try:
         eig = np.abs(np.linalg.eigvalsh(a))
-        smallest = eig.min()
-        condition = eig.max() / smallest if smallest > 0.0 else np.inf
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from exc
+    smallest = eig.min()
+    return float(eig.max() / smallest) if smallest > 0.0 else float("inf")
+
+
+def solve_linear_system(a, b, condition_bound=None):
+    """Solve the symmetric system A x = b with LAPACK (``numpy.linalg.solve``).
+
+    A must be symmetric up to rounding, as every system the oracles build
+    is (X X^T, X D X^T, the ridge dual I + lam X X^T and the Newton
+    Hessians). Raises SingularMatrixError when A's condition number
+    (``condition_number``) exceeds MAX_CONDITION, when A has a non-finite
+    entry, or when LAPACK finds A exactly singular. Intended for the small
+    (<= a few hundred dimensional) systems the oracles produce.
+
+    ``condition_bound`` is an upper bound on A's condition number that the
+    caller has proved, such as kappa(X X^T) max D / min D for X D X^T with
+    D > 0: the Rayleigh quotient of X D X^T is that of X X^T scaled by a
+    number in [min D, max D], so its largest eigenvalue is at most max D
+    times X X^T's and its smallest at least min D times X X^T's. When the
+    bound is at most MAX_CONDITION / 2 the eigenvalue solve is skipped;
+    the margin of 2 covers the rounding in forming A and in the bound.
+    Without a bound, or with an infinite, NaN or larger one, the exact
+    test runs. Either way A is accepted or refused alike, and the answer
+    comes from the same LAPACK solve.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n) or b.shape != (n,):
+        raise ValueError(f"expected square system, got A{a.shape}, b{b.shape}")
+    if condition_bound is None or not condition_bound <= MAX_CONDITION / 2:
+        condition = condition_number(a)
         # "not <=" also refuses a NaN condition number
         if not condition <= MAX_CONDITION:
             raise SingularMatrixError(f"condition number {condition:.3e} above {MAX_CONDITION:.0e}")
+    elif not np.isfinite(a).all():
+        raise SingularMatrixError("matrix has a non-finite entry")
+    try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc

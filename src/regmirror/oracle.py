@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NewtonDivergenceError, SingularMatrixError
 from .potentials import NegativeEntropy, QNorm, SquaredL2
-from .numerics import solve_linear_system
+from .numerics import condition_number, solve_linear_system
 
 
 @dataclasses.dataclass
@@ -54,11 +54,14 @@ _DUAL_TOL = 1e-10  # max |X w - y| that ends the dual attempt
 _MAX_ITER = 500    # Newton iterations of either interpolation solver
 
 
-def _dual_newton(x, y, potential, base, nu):
+def _dual_newton(x, y, potential, base, nu, gram_condition):
     """Damped Newton on the dual feasibility map F(nu) = X psi*'(base + X^T nu) - y.
 
     Steps are halved until the residual norm decreases; when even a step
     of 1e-16 does not, the dual map is too stiff and it raises instead.
+    Each Jacobian X D X^T, D = psi*'' > 0, is solved with the bound
+    ``gram_condition`` max D / min D on its condition number, where
+    ``gram_condition`` is that of X X^T.
     """
 
     def residual(nu_vec):
@@ -71,7 +74,11 @@ def _dual_newton(x, y, potential, base, nu):
             return w
         res_norm = float(np.linalg.norm(res))
         diag = potential.grad_inverse_deriv(base + x.T @ nu)
-        step = solve_linear_system((x * diag) @ x.T, -res)
+        # Python floats: an overflow gives inf, not a numpy warning; a D
+        # that underflows to 0 gives no bound
+        low, high = float(np.min(diag)), float(np.max(diag))
+        bound = gram_condition * high / low if low > 0.0 else float("inf")
+        step = solve_linear_system((x * diag) @ x.T, -res, condition_bound=bound)
         t = 1.0
         # a trial point far out overflows to an infinite or NaN residual,
         # which the test rejects like any other increase
@@ -235,9 +242,12 @@ def min_potential_dual(problem, potential, anchor=None):
     x, y = problem.X, problem.y
     anchor = None if anchor is None else np.asarray(anchor, dtype=float)
     base = np.zeros(x.shape[1]) if anchor is None else potential.grad(anchor)
-    nu = solve_linear_system(x @ x.T, y - x @ potential.grad_inverse(base))
+    gram = x @ x.T
+    gram_condition = condition_number(gram)
+    nu = solve_linear_system(gram, y - x @ potential.grad_inverse(base),
+                             condition_bound=gram_condition)
     try:
-        return _dual_newton(x, y, potential, base, nu)
+        return _dual_newton(x, y, potential, base, nu, gram_condition)
     except (NewtonDivergenceError, SingularMatrixError) as exc:
         w_start = min_norm_l2(problem)
         if isinstance(potential, NegativeEntropy) and not np.all(w_start > 0.0):
@@ -255,13 +265,19 @@ def ridge_closed_form(rp):
     Its eigenvalues are 1 + lam s_i^2 over the singular values s_i of X,
     so it is positive definite for every lam > 0 and never worse
     conditioned than the normal matrix, which adds p - n eigenvalues 1.
+    For lam >= 0 they lie in [1, 1 + lam ||X||_F^2], ||X||_F^2 being
+    sum s_i^2 = trace(X X^T), which bounds the condition number for
+    ``solve_linear_system``.
     """
     if not isinstance(rp.potential, SquaredL2):
         raise ValueError("closed form requires the squared-l2 potential")
     x, y = rp.problem.X, rp.problem.y
     n, p = x.shape
     a = np.zeros(p) if rp.anchor is None else np.asarray(rp.anchor, dtype=float)
-    nu = solve_linear_system(np.eye(n) + rp.lam * (x @ x.T), rp.lam * (y - x @ a))
+    gram = x @ x.T
+    lam = float(rp.lam)
+    bound = 1.0 + lam * float(np.trace(gram)) if lam >= 0.0 else float("inf")
+    nu = solve_linear_system(np.eye(n) + lam * gram, lam * (y - x @ a), condition_bound=bound)
     return a + x.T @ nu
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regmirror.errors import SingularMatrixError
-from regmirror.numerics import rng_stream, solve_linear_system, spawn_stream
+from regmirror.numerics import MAX_CONDITION, rng_stream, solve_linear_system, spawn_stream
 
 
 def _with_spectrum(eigenvalues):
@@ -35,9 +35,12 @@ class TestSolveLinearSystem:
         with pytest.raises(SingularMatrixError):
             solve_linear_system(np.zeros((2, 2)), np.zeros(2))
         # non-finite entries; LAPACK's eigenvalue solver reads the NaN one as well conditioned
+        # also when a certified bound skips the eigenvalue solve
         for bad in (np.nan, np.inf):
-            with pytest.raises(SingularMatrixError):
-                solve_linear_system(np.array([[bad, 1.0], [1.0, 1.0]]), np.ones(2))
+            for bound in (None, 1.0):
+                with pytest.raises(SingularMatrixError, match="non-finite"):
+                    solve_linear_system(np.array([[bad, 1.0], [1.0, 1.0]]), np.ones(2),
+                                        condition_bound=bound)
 
     def test_singularity_threshold(self):
         # condition number 1e13 is past MAX_CONDITION = 1e12, 1e11 is not
@@ -56,6 +59,27 @@ class TestSolveLinearSystem:
         a = _with_spectrum(np.concatenate([np.arange(1.0, 11.0), -np.arange(1.0, 11.0)]))
         x = solve_linear_system(a, np.ones(20))
         np.testing.assert_allclose(a @ x, np.ones(20), rtol=0, atol=1e-13)
+
+    def test_certified_bound_skips_eigenvalue_solve(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        a = _with_spectrum(np.arange(1.0, 9.0))
+        b = a @ np.arange(1.0, 9.0)
+        exact = solve_linear_system(a, b)
+        assert len(calls) == 1
+        assert np.array_equal(solve_linear_system(a, b, condition_bound=8.0), exact)
+        assert np.array_equal(solve_linear_system(a, b, condition_bound=MAX_CONDITION / 2), exact)
+        assert len(calls) == 1
+        # past the margin the exact test runs
+        assert np.array_equal(solve_linear_system(a, b, condition_bound=MAX_CONDITION), exact)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("bound", [6e11, 1e13, np.inf, np.nan])
+    def test_uncertified_bound_keeps_exact_test(self, bound):
+        # condition number 1e13; no bound at most MAX_CONDITION / 2 was given
+        with pytest.raises(SingularMatrixError, match="condition number"):
+            solve_linear_system(np.diag([1.0, 1e13]), np.ones(2), condition_bound=bound)
 
     def test_badly_scaled_matrix_raises(self):
         # the entropy Hessian's 1/w curvature can be this badly scaled,

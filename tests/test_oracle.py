@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+import regmirror.oracle as oracle
 from regmirror.errors import SingularMatrixError
-from regmirror.numerics import rng_stream
+from regmirror.numerics import MAX_CONDITION, rng_stream, solve_linear_system
 from regmirror.oracle import (InterpolationProblem, RegularizedProblem, _nullspace_newton,
                               _shifted_solve, min_norm_l2, min_potential_dual,
                               regularized_objective, regularized_reference,
                               ridge_closed_form)
-from regmirror.potentials import NegativeEntropy, QNorm, SquaredL2
+from regmirror.potentials import NegativeEntropy, QNorm, SquaredL2, parse_potential
 
 
 def random_problem(n, p, seed):
@@ -114,6 +115,15 @@ class TestMinPotentialDual:
             assert np.max(np.abs(w_a - w_b)) <= 1e-6 * np.max(np.abs(w_a))
             assert potential.value(w_b) == pytest.approx(potential.value(w_a), rel=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_design_is_a_singular_system(self, bad):
+        # X X^T is refused before its eigenvalue solve, which would raise
+        # numpy's LinAlgError on it
+        x, y = _seeded_instance(0, 4, 12)
+        x[1, 5] = bad
+        with pytest.raises(SingularMatrixError, match="non-finite"):
+            min_potential_dual(InterpolationProblem(x, y), QNorm(3.0))
+
     def test_anchored_q16_needs_steepest_descent(self):
         # The dual attempt fails and the null-space Newton's line search
         # fails on the way; without a steepest-descent step the solver
@@ -149,6 +159,39 @@ def test_bug_in_potential_is_not_read_as_leaving_its_domain(solve):
     # only a DomainError means "outside the domain, objective = inf"
     with pytest.raises(TypeError, match="bug in value"):
         solve(random_problem(3, 8, seed=9))
+
+
+def test_condition_bounds_leave_answers_unchanged(monkeypatch):
+    # a bound only skips the eigenvalue solve of a system the exact test
+    # accepts, so dropping every bound changes no answer
+    problems, ridges = [], []
+    for n, p in ((10, 30), (20, 100)):
+        x, y = _seeded_instance(n, n, p)
+        y_pos = x @ rng_stream(p).uniform(0.5, 1.5, p)
+        for name in ("l2", "q:3", "q:1.5", "linf", "l1eps", "entropy"):
+            problems.append((InterpolationProblem(x, y_pos if name == "entropy" else y),
+                             parse_potential(name)))
+        # lambda 1e13 lands past the margin, so ridge keeps the exact test there
+        ridges += [RegularizedProblem(InterpolationProblem(x, y), lam, SquaredL2())
+                   for lam in (1.0, 1e13)]
+
+    def solve_all():
+        return ([min_potential_dual(problem, potential) for problem, potential in problems]
+                + [ridge_closed_form(rp) for rp in ridges])
+
+    bounded = solve_all()
+    bounds = []
+
+    def without_bound(a, b, condition_bound=None):
+        bounds.append(condition_bound)
+        return solve_linear_system(a, b)
+
+    monkeypatch.setattr(oracle, "solve_linear_system", without_bound)
+    for w, w_exact in zip(bounded, solve_all(), strict=True):
+        assert np.array_equal(w, w_exact)
+    # most solves had a certified bound, so the two runs took different paths
+    certified = [b for b in bounds if b is not None and b <= MAX_CONDITION / 2]
+    assert len(certified) > len(bounds) / 2
 
 
 @pytest.mark.filterwarnings("error")
