@@ -84,25 +84,35 @@ def spawn_stream(seed, *path):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, path)])))
 
 
-def condition_number(a):
-    """2-norm condition number max |eig| / min |eig| of the symmetric matrix A.
+def symmetric_eigenvalues(a):
+    """Eigenvalues of the symmetric matrix A from ``numpy.linalg.eigvalsh``.
 
-    The eigenvalues come from ``numpy.linalg.eigvalsh``, which reads only
-    A's lower triangle and does about half the work of the SVD a general
-    matrix needs. Returns a Python float, inf for a singular A. Raises
-    SingularMatrixError when A has a non-finite entry or LAPACK's
-    eigenvalue solver fails.
+    It reads only A's lower triangle and does about half the work of the
+    SVD a general matrix needs. Raises SingularMatrixError when A has a
+    non-finite entry or LAPACK's eigenvalue solver fails.
     """
     # LAPACK's eigenvalue solver can return finite values for a matrix
     # holding a NaN, so such a matrix is refused before it
     if not np.isfinite(a).all():
         raise SingularMatrixError("matrix has a non-finite entry")
     try:
-        eig = np.abs(np.linalg.eigvalsh(a))
+        return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
+
+
+def eigenvalue_condition(eig):
+    """2-norm condition number max |eig| / min |eig| of a symmetric matrix
+    with eigenvalues ``eig``; a Python float, inf when one of them is 0."""
+    eig = np.abs(eig)
     smallest = eig.min()
     return float(eig.max() / smallest) if smallest > 0.0 else float("inf")
+
+
+def condition_number(a):
+    """2-norm condition number of the symmetric matrix A, from its eigenvalues
+    (``symmetric_eigenvalues``, whose SingularMatrixError it passes on)."""
+    return eigenvalue_condition(symmetric_eigenvalues(a))
 
 
 def solve_linear_system(a, b, condition_bound=None):

@@ -1,12 +1,16 @@
 """Independent ground-truth solvers for linear-model convergence targets.
 
 These share nothing with the stochastic optimizers. Feasible targets
-are solved through the dual KKT system, the squared-l2 regularized
-target through its closed form. One damped primal Newton (``_newton``)
+are solved by Newton on the KKT system grad psi(w) = grad psi(a) +
+X^T nu, X w = y (``_kkt_newton``), which takes n x n steps in nu: for
+l2 and q >= 2 it linearizes grad psi and moves w by the linearized
+update, for the entropy and q < 2, whose curvature is unbounded, it keeps
+w = psi*'(grad psi(a) + X^T nu) exactly. The squared-l2 regularized
+target is solved in closed form. One damped primal Newton (``_newton``)
 on the exact objective serves the rest: over the null space of X where
-the dual Newton fails, and over all of R^p for the regularized
-reference in every geometry. They exist so training runs can be checked
-against solutions computed by a different route.
+the KKT Newton fails, and over all of R^p for the regularized reference
+in every geometry. They exist so training runs can be checked against
+solutions computed by a different route.
 """
 
 import dataclasses
@@ -15,7 +19,8 @@ import numpy as np
 
 from .errors import DomainError, NewtonDivergenceError, SingularMatrixError
 from .potentials import NegativeEntropy, QNorm, SquaredL2
-from .numerics import condition_number, solve_linear_system
+from .numerics import (MAX_CONDITION, condition_number, eigenvalue_condition,
+                       solve_linear_system, symmetric_eigenvalues)
 
 
 @dataclasses.dataclass
@@ -54,59 +59,98 @@ _DUAL_TOL = 1e-10  # max |X w - y| that ends the dual attempt
 _MAX_ITER = 500    # Newton iterations of either interpolation solver
 
 
-def _dual_newton(x, y, potential, base, nu, gram_condition):
-    """Damped Newton on the dual feasibility map F(nu) = X psi*'(base + X^T nu) - y.
+def _unbounded_curvature(potential):
+    """Whether psi'' grows without bound near w = 0: 1/w for the negative
+    entropy, |w|^(q-2) for q-norms with q < 2."""
+    return (isinstance(potential, NegativeEntropy)
+            or (isinstance(potential, QNorm) and potential.q < 2.0))
 
-    Steps are halved until the residual norm decreases; when even a step
-    of 1e-16 does not, the dual map is too stiff and it raises instead.
-    Each Jacobian X D X^T, D = psi*'' > 0, is solved with the bound
-    ``gram_condition`` max D / min D on its condition number, where
-    ``gram_condition`` is that of X X^T.
+
+def _kkt_newton(x, y, potential, base, nu, gram_condition):
+    """Infeasible-start Newton on the KKT system grad psi(w) = base + X^T nu, X w = y.
+
+    Iterates on the pair (w, nu) with the residuals r_d = grad psi(w) -
+    base - X^T nu and r_p = y - X w. Each step solves the n x n system
+    X D X^T dnu = r_p + X D r_d, D = psi*'' at grad psi(w) > 0, with the
+    bound ``gram_condition`` max D / min D on its condition number, where
+    ``gram_condition`` is that of X X^T; w then moves by the linearized
+    KKT update dw = D (X^T dnu - r_d). That linearizes grad psi, which is
+    Lipschitz for l2 and q >= 2, where psi*' is infinitely steep at 0.
+    Where psi'' is unbounded instead (``_unbounded_curvature``: entropy,
+    q < 2), w stays the exact map psi*'(base + X^T nu), r_d = 0, and the
+    step is damped Newton on the dual feasibility map X psi*'(.) = y.
+
+    Steps are halved until ||(r_d, r_p)|| decreases; when even a step of
+    1e-16 does not, the system is too stiff and it raises instead. Returns
+    psi*'(base + X^T nu), which is stationary by construction, once it
+    interpolates to ``_DUAL_TOL``.
     """
+    exact_map = _unbounded_curvature(potential)
 
-    def residual(nu_vec):
-        w = potential.grad_inverse(base + x.T @ nu_vec)
-        return w, x @ w - y
+    def point(w, nu):
+        """(w, nu, base + X^T nu, grad psi(w), r_d, r_p, ||(r_d, r_p)||) at the
+        pair (w, nu); w None stands for the exact map psi*'(base + X^T nu)."""
+        dual = base + x.T @ nu
+        if w is None:
+            w = potential.grad_inverse(dual)
+        v = dual if exact_map else potential.grad(w)
+        r_d = None if exact_map else v - dual
+        r_p = y - x @ w
+        norm = np.linalg.norm(r_p)
+        if r_d is not None:
+            norm = np.hypot(np.linalg.norm(r_d), norm)
+        return w, nu, dual, v, r_d, r_p, float(norm)
 
-    w, res = residual(nu)
+    w, nu, dual, v, r_d, r_p, norm = point(None, nu)
     for _ in range(_MAX_ITER):
-        if float(np.max(np.abs(res))) < _DUAL_TOL:
-            return w
-        res_norm = float(np.linalg.norm(res))
-        diag = potential.grad_inverse_deriv(base + x.T @ nu)
+        answer = w if exact_map else potential.grad_inverse(dual)
+        gap = r_p if exact_map else y - x @ answer
+        if float(np.max(np.abs(gap))) < _DUAL_TOL:
+            return answer
+        diag = potential.grad_inverse_deriv(v)
         # Python floats: an overflow gives inf, not a numpy warning; a D
         # that underflows to 0 gives no bound
         low, high = float(np.min(diag)), float(np.max(diag))
         bound = gram_condition * high / low if low > 0.0 else float("inf")
-        step = solve_linear_system((x * diag) @ x.T, -res, condition_bound=bound)
+        rhs = r_p if exact_map else r_p + x @ (diag * r_d)
+        step = solve_linear_system((x * diag) @ x.T, rhs, condition_bound=bound)
+        w_step = None if exact_map else diag * (x.T @ step - r_d)
         t = 1.0
         # a trial point far out overflows to an infinite or NaN residual,
         # which the test rejects like any other increase
         with np.errstate(over="ignore", invalid="ignore"):
             while t > 1e-16:
-                w_try, res_try = residual(nu + t * step)
-                if float(np.linalg.norm(res_try)) < res_norm:
+                trial = point(None if exact_map else w + t * w_step, nu + t * step)
+                if trial[-1] < norm:
                     break
                 t *= 0.5
             else:
-                raise NewtonDivergenceError(f"dual Newton stalled at residual {res_norm:.3e}")
-        nu = nu + t * step
-        w, res = w_try, res_try
-    raise NewtonDivergenceError(f"dual Newton stopped after {_MAX_ITER} iterations "
-                                f"at residual {float(np.max(np.abs(res))):.3e}")
+                raise NewtonDivergenceError(f"KKT Newton stalled at residual {norm:.3e}")
+        w, nu, dual, v, r_d, r_p, norm = trial
+    raise NewtonDivergenceError(f"KKT Newton stopped after {_MAX_ITER} iterations "
+                                f"at residual {norm:.3e}")
 
 
 def _shifted_solve(hess, rhs):
     """Solve (H + shift I) x = rhs at the first shift of 0, 1e-10, 1e-9, ...
-    whose condition number ``solve_linear_system`` accepts."""
+    that ``solve_linear_system`` accepts.
+
+    H + shift I has H's eigenvalues plus shift, so one eigenvalue solve
+    gives every shift's condition number; each shift at most
+    MAX_CONDITION goes to the solve with that number as its bound.
+    """
+    eig = symmetric_eigenvalues(hess)  # raises at once for a non-finite H
     shift = 0.0
-    while True:
-        try:
-            return solve_linear_system(hess + shift * np.eye(len(rhs)), rhs)
-        except SingularMatrixError:
-            shift = max(10.0 * shift, 1e-10)
-            if shift == float("inf"):
-                raise  # no finite shift mends a Hessian with a non-finite entry
+    while shift < float("inf"):
+        condition = eigenvalue_condition(eig + shift)
+        if condition <= MAX_CONDITION:
+            try:
+                return solve_linear_system(hess + shift * np.eye(len(rhs)), rhs,
+                                           condition_bound=condition)
+            except SingularMatrixError:
+                pass  # refused after all: the exact test in the bound's margin, or LAPACK
+        shift = max(10.0 * shift, 1e-10)
+    raise SingularMatrixError("no finite shift makes the Hessian solvable")
 
 
 def _newton(objective, w, x, y, lam, potential, anchor_grad, nmat=None, max_iter=_MAX_ITER):
@@ -159,9 +203,8 @@ def _newton(objective, w, x, y, lam, potential, anchor_grad, nmat=None, max_iter
         # solve the Jacobi-scaled system D H D u = -D g, step = D u, for it
         # instead (D = 1 leaves every other potential's step unchanged to
         # the bit).
-        unbounded = (isinstance(potential, NegativeEntropy)
-                     or (isinstance(potential, QNorm) and potential.q < 2.0))
-        d = 1.0 / np.sqrt(np.diag(hess)) if unbounded else np.ones(len(grad))
+        d = (1.0 / np.sqrt(np.diag(hess)) if _unbounded_curvature(potential)
+             else np.ones(len(grad)))
         newton = d * _shifted_solve(d[:, None] * hess * d, -d * grad)
         decrease = float(grad @ newton)
         if 0.0 < -decrease <= _FLAT_DECREASE * abs(f):
@@ -232,12 +275,16 @@ def min_potential_dual(problem, potential, anchor=None):
     """Interpolant minimizing psi(w) (or the divergence from ``anchor``).
 
     Solves the KKT conditions grad psi(w) = grad psi(a) + X^T nu,
-    X w = y by damped Newton on the dual variable nu, warm started from
-    the l2 dual (at nu = 0 the q-norm Jacobian can be singular or
-    unbounded). Where that fails (a dual map too stiff, as at large q, or
-    a singular Jacobian), ``_nullspace_newton`` solves the primal from
-    the min-norm interpolant. The negative entropy needs a positive start,
-    so when that interpolant is not positive it raises instead.
+    X w = y by ``_kkt_newton``, warm started from the l2 dual (at nu = 0
+    the q-norm Jacobian can be singular or unbounded). For l2 and q >= 2
+    it iterates on (w, nu) with the linearized w-update; for the entropy
+    and q < 2 w is the exact map psi*'(grad psi(a) + X^T nu). Either way
+    the answer is psi*'(grad psi(a) + X^T nu), interpolating to 1e-10.
+    Where that fails (an answer too steep in nu to interpolate, as at
+    large q, or a singular Jacobian), ``_nullspace_newton`` solves the
+    primal from the min-norm interpolant. The negative entropy needs a
+    positive start, so when that interpolant is not positive it raises
+    instead.
     """
     x, y = problem.X, problem.y
     anchor = None if anchor is None else np.asarray(anchor, dtype=float)
@@ -247,7 +294,7 @@ def min_potential_dual(problem, potential, anchor=None):
     nu = solve_linear_system(gram, y - x @ potential.grad_inverse(base),
                              condition_bound=gram_condition)
     try:
-        return _dual_newton(x, y, potential, base, nu, gram_condition)
+        return _kkt_newton(x, y, potential, base, nu, gram_condition)
     except (NewtonDivergenceError, SingularMatrixError) as exc:
         w_start = min_norm_l2(problem)
         if isinstance(potential, NegativeEntropy) and not np.all(w_start > 0.0):

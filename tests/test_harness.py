@@ -162,6 +162,29 @@ class TestRunExperiment:
                    for row in rows)
         assert [row[11] for row in rows if row[11]] == ["budget"] * 4
 
+    @pytest.mark.parametrize("potential", ["q:3", "entropy"])
+    def test_sgd_and_wd_cells_train_under_l2(self, tmp_path, monkeypatch, potential):
+        # the configured potential is for smd and rmd only: sgd and wd start
+        # near 0, not at argmin psi, and report the l2 Bregman distance
+        runs = []
+
+        def recording_run(*args, **kwargs):
+            runs.append(optimizer.run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(harness, "run", recording_run)
+        monkeypatch.setattr(harness, "_default_jobs", lambda: 1)  # cells run in this process
+        out = tmp_path / "metrics.csv"
+        run_experiment(load_config(write_config(tmp_path, out=str(out), potential=potential,
+                                                algorithms="sgd,wd", epochs="3")))
+        finals = [line.split(",") for line in out.read_text().splitlines()[1:]
+                  if line.split(",")[11]]
+        assert [row[1] for row in finals] == ["sgd", "wd", "wd"]
+        for row, result in zip(finals, runs, strict=True):
+            assert np.max(np.abs(result.w_init)) < 0.1
+            l2_distance = 0.5 * float(np.sum((result.state.w - result.w_init) ** 2))
+            assert float(row[10]) == pytest.approx(l2_distance, rel=1e-9)
+
     def test_test_accuracy_na_without_test_set(self, tmp_path):
         out = tmp_path / "metrics.csv"
         cfg = load_config(write_config(tmp_path, out=str(out), n_test="0"))

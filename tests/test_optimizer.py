@@ -7,8 +7,8 @@ from regmirror.data import Dataset, accuracy, generate_synthetic, label_accuracy
 from regmirror.errors import DomainError, EmptyBatchError
 from regmirror.models import LinearModel, MLPModel, square_losses
 from regmirror.numerics import rng_stream
-from regmirror.optimizer import (STEPS, HyperParams, OptimizerState, rmd_minibatch_step,
-                                 run, sgd_step, smd_step, wd_step)
+from regmirror.optimizer import (STEPS, HyperParams, OptimizerState, _window_converged,
+                                 rmd_minibatch_step, run, sgd_step, smd_step, wd_step)
 from regmirror.potentials import NegativeEntropy, QNorm, SquaredL2
 
 
@@ -268,6 +268,14 @@ class TestRun:
                      HyperParams(eta=0.05, lam=1.0), rng_stream(5),
                      epochs=5000, w0=np.zeros(10), stop_window=50, stop_tol=1e-4)
         assert result.stop_reason == "loss-converged"
+
+    @pytest.mark.parametrize("history, stop", [
+        ([1.0, 0.5, 0.4], False),  # improved by 60% over the window of 2
+        ([1.0, 1.0, 1.0 - 1e-5], True),  # improved by 1e-5, below tol
+        ([1.0, 1.5, 2.0], True),  # rose: no improvement, so the run stops too
+    ], ids=["improving", "flat", "rising"])
+    def test_window_rule_stops_without_relative_improvement(self, history, stop):
+        assert _window_converged(history, 2, 1e-4) is stop
 
     @pytest.mark.parametrize("algorithm", ["sgd", "smd", "rmd", "wd"])
     def test_state_step_counts_every_update(self, algorithm):

@@ -140,6 +140,51 @@ class TestMinPotentialDual:
         assert np.max(np.abs(g - proj)) <= 1e-7 * np.max(np.abs(g))
 
 
+def _count_systems(monkeypatch):
+    """List that gets one entry per ``solve_linear_system`` call of the oracle."""
+    calls = []
+    solve = oracle.solve_linear_system
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_linear_system", counted)
+    return calls
+
+
+def test_q3_interpolant_takes_few_newton_systems(monkeypatch):
+    # Newton on the dual map psi*' = sign(v) |v|^(1/2), steep at v = 0,
+    # overshot and halved its way here in 51 systems
+    x, y = _seeded_instance([0, 0, 60, 200, 15], 60, 200)
+    calls = _count_systems(monkeypatch)
+    w = min_potential_dual(InterpolationProblem(x, y), QNorm(3.0))
+    assert np.max(np.abs(x @ w - y)) < 1e-10
+    assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("anchored", [False, True], ids=["free", "anchored"])
+@pytest.mark.parametrize("q", [3.0, 4.0])
+def test_qnorm_interpolant_matches_nullspace_newton(monkeypatch, q, anchored):
+    # the KKT Newton and the primal null-space Newton reach one minimizer;
+    # the dual-map Newton needed 148 to 243 systems for these 10 solves
+    potential = QNorm(q)
+    calls = _count_systems(monkeypatch)
+    answers = []
+    for n, p in ((10, 30), (20, 100)):
+        for seed in range(5):
+            rng = np.random.default_rng([seed, n, p, anchored])
+            x, y = rng.standard_normal((n, p)), rng.standard_normal(n)
+            anchor = 0.3 * rng.standard_normal(p) if anchored else None
+            problem = InterpolationProblem(x, y)
+            answers.append((min_potential_dual(problem, potential, anchor=anchor),
+                            x, y, anchor, min_norm_l2(problem)))
+    assert len(calls) <= 125
+    for w, x, y, anchor, w_start in answers:
+        w_ref = _nullspace_newton(x, y, potential, anchor, w_start)
+        assert np.linalg.norm(w - w_ref) <= 1e-8 * np.linalg.norm(w_ref)
+
+
 class _BrokenValue(SquaredL2):
     """Squared-l2 whose value() has a bug, and whose dual map is constant so
     that the dual attempt stalls and the primal fallback runs."""
@@ -199,6 +244,22 @@ def test_shift_search_gives_up_on_non_finite_hessian():
     # no shift makes a NaN Hessian solvable; the search must end, not spin
     with pytest.raises(SingularMatrixError):
         _shifted_solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
+
+
+def test_shift_search_reads_eigenvalues_once(monkeypatch):
+    # H + shift I has H's eigenvalues plus shift: the refused shift 0 and
+    # the accepted 1e-10 both come from one eigenvalue solve
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(1)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    u = _shifted_solve(np.diag([1.0, 0.0]), np.ones(2))
+    np.testing.assert_allclose(u, [1.0 / (1.0 + 1e-10), 1e10], rtol=1e-12)
+    assert len(calls) == 1
 
 
 class TestRidgeClosedForm:
