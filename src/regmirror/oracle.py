@@ -1,16 +1,15 @@
 """Independent ground-truth solvers for linear-model convergence targets.
 
-These share nothing with the stochastic optimizers. Feasible targets
-are solved by Newton on the KKT system grad psi(w) = grad psi(a) +
-X^T nu, X w = y (``_kkt_newton``), which takes n x n steps in nu: for
-l2 and q >= 2 it linearizes grad psi and moves w by the linearized
-update, for the entropy and q < 2, whose curvature is unbounded, it keeps
-w = psi*'(grad psi(a) + X^T nu) exactly. The squared-l2 regularized
-target is solved in closed form. One damped primal Newton (``_newton``)
-on the exact objective serves the rest: over the null space of X where
-the KKT Newton fails, and over all of R^p for the regularized reference
-in every geometry. They exist so training runs can be checked against
-solutions computed by a different route.
+These share nothing with the stochastic optimizers. Newton on the KKT
+system grad psi(w) = grad psi(a) + X^T nu (``_kkt_newton``), with X w =
+y for the interpolant and nu = lam (y - X w) for the regularized
+reference, takes n x n steps in nu: for l2 and q >= 2 it moves w by the
+linearized update, for the entropy and q < 2 (unbounded curvature) it
+keeps w = psi*'(grad psi(a) + X^T nu) exactly. Ridge is solved in closed
+form. Where the KKT Newton fails (large q, whose answer is too steep in
+nu), one damped primal Newton (``_newton``) on the exact objective takes
+over, over the null space of X or over all of R^p. They exist so training
+runs can be checked against solutions computed by a different route.
 """
 
 import dataclasses
@@ -57,16 +56,19 @@ def min_norm_l2(problem):
 
 _DUAL_TOL = 1e-10  # max |X w - y| that ends the dual attempt
 _MAX_ITER = 500    # Newton iterations of either interpolation solver
+# A predicted decrease this small relative to |f| is lost in the
+# rounding of f itself (a few ulps of each of its terms).
+_FLAT_DECREASE = 64 * np.finfo(float).eps
 
 
-def _unbounded_curvature(potential):
-    """Whether psi'' grows without bound near w = 0: 1/w for the negative
-    entropy, |w|^(q-2) for q-norms with q < 2."""
-    return (isinstance(potential, NegativeEntropy)
-            or (isinstance(potential, QNorm) and potential.q < 2.0))
+def _stationary(grad_norm, scale):
+    """Stop of ``_newton`` and the regularized ``_kkt_newton``: max |grad| at most
+    1e-9 min(1, s), s = max |grad psi(w) - grad psi(a)|, so it is relative
+    where the potential's gradient is small (q = 10 near its minimizer)."""
+    return grad_norm <= 1e-9 * min(1.0, scale)
 
 
-def _kkt_newton(x, y, potential, base, nu, gram_condition):
+def _kkt_newton(x, y, potential, base, nu, gram_condition=None, lam=None):
     """Infeasible-start Newton on the KKT system grad psi(w) = base + X^T nu, X w = y.
 
     Iterates on the pair (w, nu) with the residuals r_d = grad psi(w) -
@@ -76,16 +78,23 @@ def _kkt_newton(x, y, potential, base, nu, gram_condition):
     ``gram_condition`` is that of X X^T; w then moves by the linearized
     KKT update dw = D (X^T dnu - r_d). That linearizes grad psi, which is
     Lipschitz for l2 and q >= 2, where psi*' is infinitely steep at 0.
-    Where psi'' is unbounded instead (``_unbounded_curvature``: entropy,
+    Where psi'' is unbounded instead (1/w for the entropy, |w|^(q-2) for
     q < 2), w stays the exact map psi*'(base + X^T nu), r_d = 0, and the
     step is damped Newton on the dual feasibility map X psi*'(.) = y.
 
-    Steps are halved until ||(r_d, r_p)|| decreases; when even a step of
-    1e-16 does not, the system is too stiff and it raises instead. Returns
-    psi*'(base + X^T nu), which is stationary by construction, once it
-    interpolates to ``_DUAL_TOL``.
+    With ``lam`` it minimizes lam/2 ||X w - y||^2 + psi(w) - <base, w>,
+    where nu = lam (y - X w): r_p is y - X w - nu / lam and the system X D
+    X^T + I / lam, whose eigenvalues lie in [1 / lam, 1 / lam + max D
+    ||X||_F^2]. It stays regular where D vanishes (q < 2 at nu = 0), and
+    1 + lam max D ||X||_F^2 bounds its condition number.
+
+    Steps are halved until ||(r_d, r_p)|| decreases; when no step that
+    moves nu beyond its rounding (nor one of 1e-16) does, it raises.
+    Returns psi*'(base + X^T nu), stationary by construction, once it
+    interpolates to ``_DUAL_TOL`` or, with ``lam``, passes ``_stationary``.
     """
-    exact_map = _unbounded_curvature(potential)
+    exact_map = (isinstance(potential, NegativeEntropy)
+                 or (isinstance(potential, QNorm) and potential.q < 2.0))
 
     def point(w, nu):
         """(w, nu, base + X^T nu, grad psi(w), r_d, r_p, ||(r_d, r_p)||) at the
@@ -96,30 +105,46 @@ def _kkt_newton(x, y, potential, base, nu, gram_condition):
         v = dual if exact_map else potential.grad(w)
         r_d = None if exact_map else v - dual
         r_p = y - x @ w
-        norm = np.linalg.norm(r_p)
+        if lam is not None:
+            r_p -= nu / lam
+        norm = np.sqrt(r_p @ r_p)
         if r_d is not None:
-            norm = np.hypot(np.linalg.norm(r_d), norm)
+            norm = np.hypot(np.sqrt(r_d @ r_d), norm)
         return w, nu, dual, v, r_d, r_p, float(norm)
 
     w, nu, dual, v, r_d, r_p, norm = point(None, nu)
     for _ in range(_MAX_ITER):
         answer = w if exact_map else potential.grad_inverse(dual)
-        gap = r_p if exact_map else y - x @ answer
-        if float(np.max(np.abs(gap))) < _DUAL_TOL:
+        if lam is None:
+            gap = r_p if exact_map else y - x @ answer
+            done = float(np.abs(gap).max()) < _DUAL_TOL
+        else:
+            psi_grad = potential.grad(answer) - base
+            grad = lam * (x.T @ (x @ answer - y)) + psi_grad
+            done = _stationary(float(np.abs(grad).max()), float(np.abs(psi_grad).max()))
+        if done:
             return answer
-        diag = potential.grad_inverse_deriv(v)
+        # psi*'' = psi*' = exp(v - 1) for the entropy, which is w
+        diag = w if isinstance(potential, NegativeEntropy) else potential.grad_inverse_deriv(v)
         # Python floats: an overflow gives inf, not a numpy warning; a D
         # that underflows to 0 gives no bound
-        low, high = float(np.min(diag)), float(np.max(diag))
-        bound = gram_condition * high / low if low > 0.0 else float("inf")
+        low, high = float(diag.min()), float(diag.max())
         rhs = r_p if exact_map else r_p + x @ (diag * r_d)
-        step = solve_linear_system((x * diag) @ x.T, rhs, condition_bound=bound)
+        system = (x * diag) @ x.T
+        if lam is None:
+            bound = gram_condition * high / low if low > 0.0 else float("inf")
+        else:
+            system[np.diag_indices_from(system)] += 1.0 / lam
+            bound = 1.0 + lam * high * float(np.vdot(x, x))  # vdot: ||X||_F^2
+        step = solve_linear_system(system, rhs, condition_bound=bound)
         w_step = None if exact_map else diag * (x.T @ step - r_d)
         t = 1.0
+        # a step that moves nu by less than its rounding cannot help
+        nu_floor, step_size = np.finfo(float).eps * np.abs(nu).max(), np.abs(step).max()
         # a trial point far out overflows to an infinite or NaN residual,
         # which the test rejects like any other increase
         with np.errstate(over="ignore", invalid="ignore"):
-            while t > 1e-16:
+            while t > 1e-16 and t * step_size > nu_floor:
                 trial = point(None if exact_map else w + t * w_step, nu + t * step)
                 if trial[-1] < norm:
                     break
@@ -163,13 +188,11 @@ def _newton(objective, w, x, y, lam, potential, anchor_grad, nmat=None, max_iter
     curvature, so the Hessian is lam X^T X plus a diagonal, restricted
     to range(N).
 
-    Stops when the gradient is at most 1e-9 min(1, s), s = max |grad
-    psi(w) - anchor_grad|: absolute where the potential's gradient is of
-    order one or more, relative where it is small (q = 10 near its
-    minimizer). Each step is Armijo backtracking along the Newton step,
-    then along -grad, capped at the potential's domain. When neither
-    descends, a step leaves w unchanged or ``max_iter`` runs out, w is
-    accepted if the gradient is within 1e-6 of the size of its terms.
+    Stops at ``_stationary``, with s = max |grad psi(w) - anchor_grad|.
+    Each step is Armijo backtracking along the Newton step, then along
+    -grad. When neither descends, a step leaves w unchanged or
+    ``max_iter`` runs out, w is accepted if the gradient is within 1e-6 of
+    the size of its terms.
     """
     xtx, xty = x.T @ x, x.T @ y
 
@@ -192,20 +215,12 @@ def _newton(objective, w, x, y, lam, potential, anchor_grad, nmat=None, max_iter
     f = value(w)
     for _ in range(max_iter):
         grad, grad_norm, scale = gradient(w)
-        if grad_norm <= 1e-9 * min(1.0, scale):
+        if _stationary(grad_norm, scale):
             return w
         hess = lam * xtx + np.diag(potential.curvature(w))
         if nmat is not None:
             hess = nmat.T @ hess @ nmat
-        # Curvature that grows without bound near w = 0 (1/w for the
-        # entropy, |w|^(q-2) for q < 2) can span dozens of orders of
-        # magnitude, which the condition-number test reads as singular;
-        # solve the Jacobi-scaled system D H D u = -D g, step = D u, for it
-        # instead (D = 1 leaves every other potential's step unchanged to
-        # the bit).
-        d = (1.0 / np.sqrt(np.diag(hess)) if _unbounded_curvature(potential)
-             else np.ones(len(grad)))
-        newton = d * _shifted_solve(d[:, None] * hess * d, -d * grad)
+        newton = _shifted_solve(hess, -grad)
         decrease = float(grad @ newton)
         if 0.0 < -decrease <= _FLAT_DECREASE * abs(f):
             # The predicted decrease is below f's rounding error, so the
@@ -214,8 +229,7 @@ def _newton(objective, w, x, y, lam, potential, anchor_grad, nmat=None, max_iter
             # gradient it leaves instead.
             # A step that leaves the potential's domain has f = inf and
             # no gradient; it goes to the backtracking below.
-            step = extend(newton)
-            w_try = w + _max_step(potential, w, step) * step
+            w_try = w + extend(newton)
             f_try = value(w_try)
             if f_try < float("inf") and gradient(w_try)[1] < grad_norm:
                 w, f = w_try, f_try
@@ -225,7 +239,7 @@ def _newton(objective, w, x, y, lam, potential, anchor_grad, nmat=None, max_iter
         for direction in (newton, -grad):
             step = extend(direction)
             decrease = float(grad @ direction)
-            t = _max_step(potential, w, step)
+            t = 1.0
             while t > 1e-16 and not (f_try := value(w + t * step)) <= f + 1e-4 * t * decrease:
                 t *= 0.5
             if t > 1e-16:
@@ -338,44 +352,25 @@ def regularized_objective(rp, w):
     return data_term + rp.potential.bregman(w, rp.anchor)
 
 
-# A predicted decrease this small relative to |f| is lost in the
-# rounding of f itself (a few ulps of each of its terms).
-_FLAT_DECREASE = 64 * np.finfo(float).eps
-
-# Fraction to the boundary: a negative-entropy step keeps every
-# coordinate at no less than this share of its current value, so Newton
-# never leaves w > 0 even when the minimizer lies orders of magnitude
-# below the start.
-_BOUNDARY_SHARE = 0.01
-
-
-def _max_step(potential, w, step):
-    """Largest t <= 1 keeping w + t * step inside the potential's domain.
-
-    Only the negative entropy has a boundary; every other potential gets 1.
-    """
-    if not isinstance(potential, NegativeEntropy):
-        return 1.0
-    shrink = step < 0.0
-    if not np.any(shrink):
-        return 1.0
-    return min(1.0, float(np.min((1.0 - _BOUNDARY_SHARE) * w[shrink] / -step[shrink])))
-
-
 def regularized_reference(rp, max_iter=5000):
     """High-precision minimizer of the regularized batch objective.
 
-    ``_newton`` over all of R^p, judged by ``regularized_objective`` and
-    started at the anchor, at 0 or, for the negative entropy, at 0.1.
-    Independent of every stochastic code path.
+    ``_kkt_newton`` with the nu / lam term from nu = 0. Where it fails
+    (large q such as linf), ``_newton`` over all of R^p, judged by
+    ``regularized_objective`` and started at the anchor, at 0 or, for the
+    negative entropy, at 0.1. Independent of every stochastic code path.
     """
     x, y = rp.problem.X, rp.problem.y
-    p = x.shape[1]
+    n, p = x.shape
     if rp.anchor is None:
         w = np.full(p, 0.1) if isinstance(rp.potential, NegativeEntropy) else np.zeros(p)
         anchor_grad = np.zeros(p)
     else:
         w = np.array(rp.anchor, dtype=float)
         anchor_grad = rp.potential.grad(w)
+    try:
+        return _kkt_newton(x, y, rp.potential, anchor_grad, np.zeros(n), lam=float(rp.lam))
+    except (NewtonDivergenceError, SingularMatrixError):
+        pass  # the primal Newton below
     return _newton(lambda v: regularized_objective(rp, v), w, x, y, rp.lam, rp.potential,
                    anchor_grad, max_iter=max_iter)

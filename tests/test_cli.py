@@ -95,10 +95,8 @@ def test_oracle_entropy_dual_without_positive_interpolant_is_one_error_line(caps
     assert captured.out == ""
 
 
-# l1eps is left out: its reference still stalls on a coordinate near 0,
-# where f no longer changes under steps that small (ROADMAP item 3).
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("potential", ["l2", "q:3", "q:1.5", "linf", "entropy"])
+@pytest.mark.parametrize("potential", ["l2", "q:3", "q:1.5", "l1eps", "linf", "entropy"])
 def test_oracle_reference_solves_every_advertised_potential(capsys, potential):
     assert main(["oracle", "--kind", "reference", "--potential", potential]) == 0
     assert "objective =" in capsys.readouterr().out

@@ -113,15 +113,16 @@ class TestConfig:
 class TestRunExperiment:
     def test_grid_size_and_header(self, tmp_path):
         out = tmp_path / "metrics.csv"
-        cfg = load_config(write_config(tmp_path, out=str(out)))
+        cfg = load_config(write_config(tmp_path, out=str(out), algorithms="sgd,smd,rmd"))
         run_experiment(cfg)
         lines = out.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         finals = [line for line in lines[1:] if line.split(",")[11]]
-        # sgd runs once, rmd once per lambda
-        assert len(finals) == 3
+        # sgd runs once, smd and rmd once per lambda
+        assert len(finals) == 5
         ids = {line.split(",")[0] for line in lines[1:]}
-        assert ids == {"sgd-lamna-eta0.01", "rmd-lam0.5-eta0.01", "rmd-lam2-eta0.01"}
+        assert ids == {"sgd-lamna-eta0.01", "smd-lam0.5-eta0.01", "smd-lam2-eta0.01",
+                       "rmd-lam0.5-eta0.01", "rmd-lam2-eta0.01"}
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

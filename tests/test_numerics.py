@@ -83,7 +83,7 @@ class TestSolveLinearSystem:
 
     def test_badly_scaled_matrix_raises(self):
         # the entropy Hessian's 1/w curvature can be this badly scaled,
-        # which is why oracle._newton Jacobi-scales it before solving
+        # which is why the oracle's KKT Newton solves with psi*'' = w instead
         with pytest.raises(SingularMatrixError):
             solve_linear_system(np.array([[1e27, 1.0], [1.0, 1.0]]), np.ones(2))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import regmirror.oracle as oracle
-from regmirror.errors import SingularMatrixError
+from regmirror.errors import NewtonDivergenceError, SingularMatrixError
 from regmirror.numerics import MAX_CONDITION, rng_stream, solve_linear_system
 from regmirror.oracle import (InterpolationProblem, RegularizedProblem, _nullspace_newton,
                               _shifted_solve, min_norm_l2, min_potential_dual,
@@ -183,6 +183,18 @@ def test_qnorm_interpolant_matches_nullspace_newton(monkeypatch, q, anchored):
     for w, x, y, anchor, w_start in answers:
         w_ref = _nullspace_newton(x, y, potential, anchor, w_start)
         assert np.linalg.norm(w - w_ref) <= 1e-8 * np.linalg.norm(w_ref)
+
+
+def test_regularized_kkt_newton_gives_up_at_rounding(monkeypatch):
+    # linf's answer psi*'(base + X^T nu) is too steep in nu to pass the
+    # stationarity test, so the reference falls back on the primal Newton.
+    # Here the line search kept finding steps that moved nu by less than
+    # its rounding and ran out of iterations after 500 systems.
+    x, y = _seeded_instance([2, 20, 100], 20, 100)
+    calls = _count_systems(monkeypatch)
+    with pytest.raises(NewtonDivergenceError, match="stalled"):
+        oracle._kkt_newton(x, y, QNorm(10.0), np.zeros(100), np.zeros(20), lam=1.0)
+    assert len(calls) <= 40
 
 
 class _BrokenValue(SquaredL2):
@@ -391,6 +403,9 @@ class TestRegularizedReference:
         # stalled with the clipped curvature, and also unclipped without
         # the Jacobi scaling
         pytest.param(2, 4, 12, False, id="4x12"),
+        # the primal Newton stalled at gradients of 1.5e-2 to 3.6e-2
+        *[pytest.param(seed, 10, 30, False, id=f"10x30-seed{seed}") for seed in (0, 2, 3, 4)],
+        *[pytest.param(seed, 20, 100, False, id=f"20x100-seed{seed}") for seed in (0, 2)],
     ])
     def test_l1eps_reference_is_stationary(self, seed, n, p, anchored):
         rng = np.random.default_rng([seed, n, p, anchored])
