@@ -79,6 +79,8 @@ class ExperimentConfig:
                          ("batch_size", 1), ("epochs", 1), ("stop_window", 1)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        if np.isnan(self.stop_tol):
+            raise ConfigError("stop_tol must be a number, got nan")
         if not 0.0 <= self.corruption <= 1.0:
             raise ConfigError(f"corruption must lie in [0, 1], got {self.corruption}")
         if not self.lambdas or not self.etas or not self.algorithms:

@@ -120,7 +120,7 @@ def solve_linear_system(a, b, condition_bound=None):
 
     A must be symmetric up to rounding, as every system the oracles build
     is (X X^T, X D X^T, X D X^T + I / lam, the ridge dual I + lam X X^T and
-    the Newton Hessians). Raises SingularMatrixError when A's condition number
+    the null-space Newton's N^T diag(psi'') N). Raises SingularMatrixError when A's condition number
     (``condition_number``) exceeds MAX_CONDITION, when A has a non-finite
     entry, or when LAPACK finds A exactly singular. Intended for the small
     (<= a few hundred dimensional) systems the oracles produce.

@@ -5,11 +5,12 @@ system grad psi(w) = grad psi(a) + X^T nu (``_kkt_newton``), with X w =
 y for the interpolant and nu = lam (y - X w) for the regularized
 reference, takes n x n steps in nu: for l2 and q >= 2 it moves w by the
 linearized update, for the entropy and q < 2 (unbounded curvature) it
-keeps w = psi*'(grad psi(a) + X^T nu) exactly. Ridge is solved in closed
-form. Where the KKT Newton fails (large q, whose answer is too steep in
-nu), one damped primal Newton (``_newton``) on the exact objective takes
-over, over the null space of X or over all of R^p. They exist so training
-runs can be checked against solutions computed by a different route.
+keeps w = psi*'(grad psi(a) + X^T nu) exactly. It alone solves the
+regularized reference; ridge is also solved in closed form. Where it
+fails to interpolate (large q, whose answer is too steep in nu), a
+damped primal Newton over the null space of X (``_nullspace_newton``)
+takes over. They exist so training runs can be checked against
+solutions computed by a different route.
 """
 
 import dataclasses
@@ -62,10 +63,18 @@ _FLAT_DECREASE = 64 * np.finfo(float).eps
 
 
 def _stationary(grad_norm, scale):
-    """Stop of ``_newton`` and the regularized ``_kkt_newton``: max |grad| at most
-    1e-9 min(1, s), s = max |grad psi(w) - grad psi(a)|, so it is relative
-    where the potential's gradient is small (q = 10 near its minimizer)."""
+    """Stop of ``_nullspace_newton`` and the regularized ``_kkt_newton``: max
+    |grad| at most 1e-9 min(1, s), s = max |grad psi(w) - grad psi(a)|, so it
+    is relative where the potential's gradient is small (q = 10 near its
+    minimizer)."""
     return grad_norm <= 1e-9 * min(1.0, scale)
+
+
+def _within_rounding(grad_norm, terms):
+    """Stop of the same two where they stall: max |grad| at most 1e-6 of the
+    largest entry of the terms it sums (lam X^T X w, lam X^T y, grad psi(w),
+    grad psi(a)), whose rounding bounds how far it can fall."""
+    return grad_norm <= 1e-6 * max(float(np.max(np.abs(term))) for term in terms)
 
 
 def _kkt_newton(x, y, potential, base, nu, gram_condition=None, lam=None):
@@ -88,10 +97,13 @@ def _kkt_newton(x, y, potential, base, nu, gram_condition=None, lam=None):
     ||X||_F^2]. It stays regular where D vanishes (q < 2 at nu = 0), and
     1 + lam max D ||X||_F^2 bounds its condition number.
 
-    Steps are halved until ||(r_d, r_p)|| decreases; when no step that
-    moves nu beyond its rounding (nor one of 1e-16) does, it raises.
-    Returns psi*'(base + X^T nu), stationary by construction, once it
-    interpolates to ``_DUAL_TOL`` or, with ``lam``, passes ``_stationary``.
+    Steps are halved until ||(r_d, r_p)|| decreases. Returns psi*'(base +
+    X^T nu), stationary by construction, once it interpolates to
+    ``_DUAL_TOL`` or, with ``lam``, passes ``_stationary``. When no step
+    that moves nu beyond its rounding (nor one of 1e-16) decreases the
+    residual, or the iterations run out, it raises; with ``lam`` it
+    first returns the iterate w if that passes ``_within_rounding``, as
+    at large q, whose answer is too steep in nu, or large lam.
     """
     exact_map = (isinstance(potential, NegativeEntropy)
                  or (isinstance(potential, QNorm) and potential.q < 2.0))
@@ -150,10 +162,14 @@ def _kkt_newton(x, y, potential, base, nu, gram_condition=None, lam=None):
                     break
                 t *= 0.5
             else:
-                raise NewtonDivergenceError(f"KKT Newton stalled at residual {norm:.3e}")
+                break  # stalled: no step that moves nu lowers the residual
         w, nu, dual, v, r_d, r_p, norm = trial
-    raise NewtonDivergenceError(f"KKT Newton stopped after {_MAX_ITER} iterations "
-                                f"at residual {norm:.3e}")
+    if lam is not None:
+        terms = (lam * (x.T @ (x @ w)), lam * (x.T @ y), potential.grad(w), base)
+        grad = terms[0] - terms[1] + terms[2] - terms[3]
+        if _within_rounding(float(np.abs(grad).max()), terms):
+            return w
+    raise NewtonDivergenceError(f"KKT Newton stalled at residual {norm:.3e}")
 
 
 def _shifted_solve(hess, rhs):
@@ -178,49 +194,50 @@ def _shifted_solve(hess, rhs):
     raise SingularMatrixError("no finite shift makes the Hessian solvable")
 
 
-def _newton(objective, w, x, y, lam, potential, anchor_grad, nmat=None, max_iter=_MAX_ITER):
-    """Minimize lam/2 ||X w - y||^2 + psi(w) - <anchor_grad, w> over w + range(N).
+def _nullspace_newton(x, y, potential, anchor, w_start):
+    """Minimize psi(w) - <grad psi(a), w> over X w = y by damped primal Newton.
 
-    ``nmat`` is an orthonormal basis N of the search space (None: all of
-    R^p). ``objective`` is the function, equal to this one up to a
-    constant, whose value the line search compares; a ``DomainError``
-    from it reads as +inf. The potential contributes only its separable
-    curvature, so the Hessian is lam X^T X plus a diagonal, restricted
-    to range(N).
+    Projects ``w_start`` onto X w = y and searches w_feas + range(N), N an
+    orthonormal null-space basis from the SVD of X, so X w = y holds to
+    machine precision throughout. The Hessian N^T diag(psi'') N stays
+    bounded where the dual one blows up (large q, near-zero coordinates).
+    A ``DomainError`` from the potential reads as objective +inf.
 
-    Stops at ``_stationary``, with s = max |grad psi(w) - anchor_grad|.
-    Each step is Armijo backtracking along the Newton step, then along
-    -grad. When neither descends, a step leaves w unchanged or
-    ``max_iter`` runs out, w is accepted if the gradient is within 1e-6 of
-    the size of its terms.
+    Stops at ``_stationary`` on the null-space gradient, which is relative
+    to its size, so the answer does not depend on ``w_start``. Each step
+    is Armijo backtracking along the Newton step, then along -grad. When
+    neither descends, a step leaves w unchanged or the iterations run
+    out, w is accepted if it passes ``_within_rounding``.
     """
-    xtx, xty = x.T @ x, x.T @ y
-
-    def extend(u):
-        return u if nmat is None else nmat @ u
+    n, p = x.shape
+    u_svd, s, vt = np.linalg.svd(x, full_matrices=True)
+    if s[-1] < 1e-12 * s[0]:
+        raise NewtonDivergenceError("design matrix is rank deficient")
+    w_feas = vt[:n].T @ ((u_svd.T @ y) / s)
+    if n == p:
+        return w_feas  # X is invertible: the only interpolant
+    nmat = vt[n:].T
+    anchor_grad = np.zeros(p) if anchor is None else potential.grad(anchor)
 
     def value(v):
         try:
-            return objective(v)
+            return potential.value(v) - float(anchor_grad @ v)
         except DomainError:
             return float("inf")
 
     def gradient(v):
-        """Gradient over range(N) at v, its max norm, and s at v."""
-        psi_grad = potential.grad(v)
-        grad = lam * (xtx @ v - xty) + psi_grad - anchor_grad
-        grad = grad if nmat is None else nmat.T @ grad
-        return grad, float(np.max(np.abs(grad))), float(np.max(np.abs(psi_grad - anchor_grad)))
+        """Null-space gradient at v, its max norm, and s at v."""
+        psi_grad = potential.grad(v) - anchor_grad
+        grad = nmat.T @ psi_grad
+        return grad, float(np.max(np.abs(grad))), float(np.max(np.abs(psi_grad)))
 
+    w = w_feas + nmat @ (nmat.T @ (w_start - w_feas))
     f = value(w)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         grad, grad_norm, scale = gradient(w)
         if _stationary(grad_norm, scale):
             return w
-        hess = lam * xtx + np.diag(potential.curvature(w))
-        if nmat is not None:
-            hess = nmat.T @ hess @ nmat
-        newton = _shifted_solve(hess, -grad)
+        newton = _shifted_solve((nmat.T * potential.curvature(w)) @ nmat, -grad)
         decrease = float(grad @ newton)
         if 0.0 < -decrease <= _FLAT_DECREASE * abs(f):
             # The predicted decrease is below f's rounding error, so the
@@ -229,7 +246,7 @@ def _newton(objective, w, x, y, lam, potential, anchor_grad, nmat=None, max_iter
             # gradient it leaves instead.
             # A step that leaves the potential's domain has f = inf and
             # no gradient; it goes to the backtracking below.
-            w_try = w + extend(newton)
+            w_try = w + nmat @ newton
             f_try = value(w_try)
             if f_try < float("inf") and gradient(w_try)[1] < grad_norm:
                 w, f = w_try, f_try
@@ -237,7 +254,7 @@ def _newton(objective, w, x, y, lam, potential, anchor_grad, nmat=None, max_iter
         # Armijo backtracking along the Newton step, then along -grad;
         # "not <=" also rejects a NaN objective (inf - inf)
         for direction in (newton, -grad):
-            step = extend(direction)
+            step = nmat @ direction
             decrease = float(grad @ direction)
             t = 1.0
             while t > 1e-16 and not (f_try := value(w + t * step)) <= f + 1e-4 * t * decrease:
@@ -251,38 +268,9 @@ def _newton(objective, w, x, y, lam, potential, anchor_grad, nmat=None, max_iter
             break
         w, f = w_next, f_try
     _, grad_norm, _ = gradient(w)
-    terms = max(float(np.max(np.abs(term)))
-                for term in (lam * (xtx @ w), lam * xty, potential.grad(w), anchor_grad))
-    if grad_norm <= 1e-6 * terms:
+    if _within_rounding(grad_norm, (potential.grad(w), anchor_grad)):
         return w  # flat directions converged as far as double precision allows
     raise NewtonDivergenceError(f"Newton stalled at gradient {grad_norm:.3e}")
-
-
-def _nullspace_newton(x, y, potential, anchor, w_start):
-    """Feasible primal Newton over the null space of X.
-
-    Projects ``w_start`` onto X w = y and minimizes the (anchored)
-    potential over w_feas + range(N), N an orthonormal null-space basis,
-    with ``_newton``, so X w = y holds to machine precision throughout.
-    The primal Hessian stays bounded where the dual one blows up (large
-    q, near-zero coordinates), and the stationarity test is relative to
-    the gradient's size, so the answer does not depend on ``w_start``.
-    """
-    n, p = x.shape
-    u_svd, s, vt = np.linalg.svd(x, full_matrices=True)
-    if s[-1] < 1e-12 * s[0]:
-        raise NewtonDivergenceError("design matrix is rank deficient")
-    w_feas = vt[:n].T @ ((u_svd.T @ y) / s)
-    if n == p:
-        return w_feas  # X is invertible: the only interpolant
-    nmat = vt[n:].T
-    anchor_grad = np.zeros(p) if anchor is None else potential.grad(anchor)
-
-    def objective(w):
-        return potential.value(w) - float(anchor_grad @ w)
-
-    w = w_feas + nmat @ (nmat.T @ (w_start - w_feas))
-    return _newton(objective, w, x, y, 0.0, potential, anchor_grad, nmat)
 
 
 def min_potential_dual(problem, potential, anchor=None):
@@ -352,25 +340,15 @@ def regularized_objective(rp, w):
     return data_term + rp.potential.bregman(w, rp.anchor)
 
 
-def regularized_reference(rp, max_iter=5000):
+def regularized_reference(rp):
     """High-precision minimizer of the regularized batch objective.
 
-    ``_kkt_newton`` with the nu / lam term from nu = 0. Where it fails
-    (large q such as linf), ``_newton`` over all of R^p, judged by
-    ``regularized_objective`` and started at the anchor, at 0 or, for the
-    negative entropy, at 0.1. Independent of every stochastic code path.
+    ``_kkt_newton`` with the nu / lam term, from nu = 0: its answer passes
+    ``_stationary`` or, where it stalls at rounding (linf, q:16, large
+    lam), ``_within_rounding``. Independent of every stochastic code path.
     """
     x, y = rp.problem.X, rp.problem.y
     n, p = x.shape
-    if rp.anchor is None:
-        w = np.full(p, 0.1) if isinstance(rp.potential, NegativeEntropy) else np.zeros(p)
-        anchor_grad = np.zeros(p)
-    else:
-        w = np.array(rp.anchor, dtype=float)
-        anchor_grad = rp.potential.grad(w)
-    try:
-        return _kkt_newton(x, y, rp.potential, anchor_grad, np.zeros(n), lam=float(rp.lam))
-    except (NewtonDivergenceError, SingularMatrixError):
-        pass  # the primal Newton below
-    return _newton(lambda v: regularized_objective(rp, v), w, x, y, rp.lam, rp.potential,
-                   anchor_grad, max_iter=max_iter)
+    anchor = None if rp.anchor is None else np.asarray(rp.anchor, dtype=float)
+    base = np.zeros(p) if anchor is None else rp.potential.grad(anchor)
+    return _kkt_newton(x, y, rp.potential, base, np.zeros(n), lam=float(rp.lam))

@@ -48,15 +48,15 @@ class SquaredL2:
 
 
 class QNorm:
-    """q-norm potential for strictly q > 1.
+    """q-norm potential for a finite q > 1.
 
     |x|^(q-1) at x = 0 is taken as 0 with sign(0) = 0, the continuous
     limit, so updates are well defined at the origin.
     """
 
     def __init__(self, q):
-        if not q > 1.0:
-            raise ValueError(f"q must exceed 1, got {q}")
+        if not 1.0 < q < float("inf"):
+            raise ValueError(f"q must be finite and exceed 1, got {q}")
         self.q = float(q)
         self.name = f"q:{self.q:g}"
 

@@ -177,6 +177,8 @@ BAD_VALUES = [
     ("potential", "potential = foo"),
     ("epochs", "epochs = 0"),
     ("stop_window", "stop_window = 0"),  # every rmd and wd cell would stop after epoch 1
+    ("stop_tol", "stop_tol = nan"),  # every rmd and wd cell would run to the epoch budget
+    ("potential", "potential = q:inf"),  # smd weights would never move
     ("potential", None),  # regmirror oracle --potential foo
 ]
 

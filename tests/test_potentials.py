@@ -159,3 +159,6 @@ class TestParse:
             parse_potential("l1eps:0")
         with pytest.raises(ValueError):
             parse_potential("spectral")
+        for spec in ("q:inf", "l1eps:inf", "q:1e309"):
+            with pytest.raises(ValueError, match="finite"):
+                parse_potential(spec)
