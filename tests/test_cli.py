@@ -82,17 +82,34 @@ def test_oracle_dual_solves_every_advertised_potential(capsys, potential):
     assert residual < 1e-9
 
 
-# seeded instances on which no positive interpolant exists: the dual Newton
-# meets a singular Jacobian (10x10, 20x24) or stalls (5x6)
+# seeded instances on which no positive interpolant exists: X is square and
+# its only interpolant is not positive (10x10), or the KKT Newton stalls
+# (20x24, 5x6)
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("n, p", [(10, 10), (20, 24), (5, 6)])
-def test_oracle_entropy_dual_without_positive_interpolant_is_one_error_line(capsys, n, p):
+@pytest.mark.parametrize("n, p, message", [
+    (10, 10, "negative-entropy potential requires strictly positive weights"),
+    (20, 24, "KKT Newton stalled at residual"),
+    (5, 6, "KKT Newton stalled at residual"),
+], ids=["10-10", "20-24", "5-6"])
+def test_oracle_entropy_dual_without_positive_interpolant_is_one_error_line(capsys, n, p,
+                                                                            message):
     assert main(["oracle", "--kind", "dual", "--potential", "entropy",
                  "--n", str(n), "--p", str(p)]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: no positive interpolant found")
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
     assert captured.out == ""
+
+
+# a primal Newton over the null space of X stalled on these at gradients of
+# 9.5e-16 to 2.1e-15
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(4))
+def test_oracle_dual_q16_solves_seeded_instances(capsys, seed):
+    assert main(["oracle", "--kind", "dual", "--potential", "q:16", "--n", "20", "--p", "100",
+                 "--seed", str(seed)]) == 0
+    residual = float(capsys.readouterr().out.split("max |Xw - y| = ")[1].split()[0])
+    assert residual < 1e-10
 
 
 @pytest.mark.filterwarnings("error")

@@ -21,6 +21,7 @@ SRC = ROOT / "src" / "regmirror"
 READ_BY_BENCHMARK = {
     "sample_losses": "perfbench/tracer.py",
     "kernel_backend": "perfbench/worker.py",
+    "curvature": "perfbench/tracer.py",
 }
 
 # Names nothing in src/ uses but the tests, each with a test file that
