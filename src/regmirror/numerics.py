@@ -118,19 +118,18 @@ def condition_number(a):
 def solve_linear_system(a, b, condition_bound=None):
     """Solve the symmetric system A x = b with LAPACK (``numpy.linalg.solve``).
 
-    A must be symmetric up to rounding, as every system the oracles build
-    is (X X^T, X D X^T, X D X^T + I / lam and the ridge dual I + lam X X^T).
-    Raises SingularMatrixError when A's condition number
-    (``condition_number``) exceeds MAX_CONDITION, when A has a non-finite
-    entry, or when LAPACK finds A exactly singular. Intended for the small
-    (<= a few hundred dimensional) systems the oracles produce.
+    A must be symmetric up to rounding, as are the systems the oracles
+    pass here (X X^T and the ridge dual I + lam X X^T; the KKT Newton's
+    step systems go to ``lapack_solve``). Raises SingularMatrixError when
+    A's condition number (``condition_number``) exceeds MAX_CONDITION, when
+    A has a non-finite entry, or when LAPACK finds A exactly singular.
+    Intended for the small (<= a few hundred dimensional) systems the
+    oracles produce.
 
     ``condition_bound`` is an upper bound on A's condition number that the
-    caller has proved, such as kappa(X X^T) max D / min D for X D X^T with
-    D > 0: the Rayleigh quotient of X D X^T is that of X X^T scaled by a
-    number in [min D, max D], so its largest eigenvalue is at most max D
-    times X X^T's and its smallest at least min D times X X^T's. When the
-    bound is at most MAX_CONDITION / 2 the eigenvalue solve is skipped;
+    caller has proved, such as 1 + lam ||X||_F^2 for I + lam X X^T, whose
+    eigenvalues are 1 + lam s_i^2 over the singular values s_i of X. When
+    the bound is at most MAX_CONDITION / 2 the eigenvalue solve is skipped;
     the margin of 2 covers the rounding in forming A and in the bound.
     Without a bound, or with an infinite, NaN or larger one, the exact
     test runs. Either way A is accepted or refused alike, and the answer
@@ -146,7 +145,14 @@ def solve_linear_system(a, b, condition_bound=None):
         # "not <=" also refuses a NaN condition number
         if not condition <= MAX_CONDITION:
             raise SingularMatrixError(f"condition number {condition:.3e} above {MAX_CONDITION:.0e}")
-    elif not np.isfinite(a).all():
+    return lapack_solve(a, b)
+
+
+def lapack_solve(a, b):
+    """Solve the square system A x = b with ``numpy.linalg.solve``, whatever
+    A's condition number. Raises SingularMatrixError when A has a
+    non-finite entry or LAPACK finds A exactly singular."""
+    if not np.isfinite(a).all():
         raise SingularMatrixError("matrix has a non-finite entry")
     try:
         return np.linalg.solve(a, b)

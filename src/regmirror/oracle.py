@@ -15,9 +15,9 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NewtonDivergenceError, SingularMatrixError
+from .errors import NewtonDivergenceError
 from .potentials import NegativeEntropy, QNorm, SquaredL2
-from .numerics import condition_number, solve_linear_system
+from .numerics import condition_number, lapack_solve, solve_linear_system
 
 
 @dataclasses.dataclass
@@ -71,29 +71,27 @@ def _within_rounding(grad_norm, terms):
     return grad_norm <= 1e-6 * max(float(np.max(np.abs(term))) for term in terms)
 
 
-def _kkt_newton(x, y, potential, base, nu, gram_condition=None, lam=None, tol=_DUAL_TOL):
+def _kkt_newton(x, y, potential, base, nu, lam=None, tol=_DUAL_TOL):
     """Infeasible-start Newton on the KKT system grad psi(w) = base + X^T nu, X w = y.
 
     Iterates on the pair (w, nu) with the residuals r_d = grad psi(w) -
     base - X^T nu and r_p = y - X w. Each step solves the n x n system
-    X D X^T dnu = r_p + X D r_d, D = psi*'' at grad psi(w) > 0, with the
-    bound ``gram_condition`` max D / min D on its condition number, where
-    ``gram_condition`` is that of X X^T; w then moves by the linearized
-    KKT update dw = D (X^T dnu - r_d). That linearizes grad psi, which is
-    Lipschitz for l2 and q >= 2, where psi*' is infinitely steep at 0.
+    X D X^T dnu = r_p + X D r_d, D = psi*'' at grad psi(w) > 0, and w
+    then moves by the linearized KKT update dw = D (X^T dnu - r_d). That
+    linearizes grad psi, which is Lipschitz for l2 and q >= 2, where psi*'
+    is infinitely steep at 0.
     Where psi'' is unbounded instead (1/w for the entropy, |w|^(q-2) for
     q < 2), w stays the exact map psi*'(base + X^T nu), r_d = 0, and the
     step is damped Newton on the dual feasibility map X psi*'(.) = y.
-    A finite system that ``solve_linear_system`` refuses for its condition
-    number (a D spread over many decades, as where a large-q w nears 0)
-    is solved by LAPACK all the same: the step is only a trial, which the
-    line search keeps only if it lowers the residual.
+    Each system goes to ``lapack_solve`` whatever its condition number (a
+    D spread over many decades, as where a large-q w nears 0, pushes it
+    past 1e12): the step is only a trial, which the line search keeps
+    only if it lowers the residual.
 
     With ``lam`` it minimizes lam/2 ||X w - y||^2 + psi(w) - <base, w>,
     where nu = lam (y - X w): r_p is y - X w - nu / lam and the system X D
-    X^T + I / lam, whose eigenvalues lie in [1 / lam, 1 / lam + max D
-    ||X||_F^2]. It stays regular where D vanishes (q < 2 at nu = 0), and
-    1 + lam max D ||X||_F^2 bounds its condition number.
+    X^T + I / lam, whose eigenvalues are at least 1 / lam, so it stays
+    regular where D vanishes (q < 2 at nu = 0).
 
     Steps are halved until ||(r_d, r_p)|| decreases. Returns psi*'(base +
     X^T nu), stationary by construction, once it interpolates to ``tol``
@@ -137,25 +135,11 @@ def _kkt_newton(x, y, potential, base, nu, gram_condition=None, lam=None, tol=_D
             return answer
         # psi*'' = psi*' = exp(v - 1) for the entropy, which is w
         diag = w if isinstance(potential, NegativeEntropy) else potential.grad_inverse_deriv(v)
-        # Python floats: an overflow gives inf, not a numpy warning; a D
-        # that underflows to 0 gives no bound
-        low, high = float(diag.min()), float(diag.max())
         rhs = r_p if exact_map else r_p + x @ (diag * r_d)
         system = (x * diag) @ x.T
-        if lam is None:
-            bound = gram_condition * high / low if low > 0.0 else float("inf")
-        else:
+        if lam is not None:
             system[np.diag_indices_from(system)] += 1.0 / lam
-            bound = 1.0 + lam * high * float(np.vdot(x, x))  # vdot: ||X||_F^2
-        try:
-            step = solve_linear_system(system, rhs, condition_bound=bound)
-        except SingularMatrixError:
-            if not np.isfinite(system).all():
-                raise
-            try:
-                step = np.linalg.solve(system, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrixError(str(exc)) from exc
+        step = lapack_solve(system, rhs)
         w_step = None if exact_map else diag * (x.T @ step - r_d)
         t = 1.0
         # a step that moves nu by less than its rounding cannot help
@@ -217,9 +201,9 @@ def min_potential_dual(problem, potential, anchor=None):
         size = float(np.abs(w_l2).max())
         c = 2.0 ** -round(np.log2(size)) if 0.0 < size < float("inf") else 1.0
         w = _kkt_newton(x, c * y, potential, c ** (potential.q - 1.0) * base, c * nu,
-                        gram_condition, tol=min(c, 1.0) * _DUAL_TOL) / c
+                        tol=min(c, 1.0) * _DUAL_TOL) / c
     else:
-        w = _kkt_newton(x, y, potential, base, nu, gram_condition)
+        w = _kkt_newton(x, y, potential, base, nu)
     potential.check_domain(w)
     return w
 

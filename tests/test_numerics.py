@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from regmirror.errors import SingularMatrixError
-from regmirror.numerics import MAX_CONDITION, rng_stream, solve_linear_system, spawn_stream
+from regmirror.numerics import (MAX_CONDITION, lapack_solve, rng_stream, solve_linear_system,
+                                spawn_stream)
 
 
 def _with_spectrum(eigenvalues):
@@ -109,6 +110,15 @@ class TestSolveLinearSystem:
         b = rng.standard_normal(n)
         x = solve_linear_system(a, b)
         assert np.linalg.norm(a @ x - b) <= 1e-9 * np.linalg.norm(b)
+
+
+def test_lapack_solve_has_no_condition_limit():
+    # condition number 1e13, which solve_linear_system refuses
+    x = lapack_solve(np.diag([1.0, 1e-13]), np.array([2.0, 3e-13]))
+    np.testing.assert_allclose(x, [2.0, 3.0], rtol=4 * np.finfo(float).eps, atol=0)
+    for a in (np.array([[np.nan, 1.0], [1.0, 1.0]]), np.zeros((2, 2))):
+        with pytest.raises(SingularMatrixError):
+            lapack_solve(a, np.ones(2))
 
 
 class TestRandomness:

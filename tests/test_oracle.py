@@ -137,15 +137,18 @@ class TestMinPotentialDual:
 
 
 def _count_systems(monkeypatch):
-    """List that gets one entry per ``solve_linear_system`` call of the oracle."""
+    """List that gets one entry per linear system the oracle solves: its
+    ``solve_linear_system`` and ``lapack_solve`` calls."""
     calls = []
-    solve = oracle.solve_linear_system
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counting(solve):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(oracle, "solve_linear_system", counted)
+    for name in ("solve_linear_system", "lapack_solve"):
+        monkeypatch.setattr(oracle, name, counting(getattr(oracle, name)))
     return calls
 
 
