@@ -23,7 +23,7 @@ import numpy as np
 from .data import corrupt_labels, generate_synthetic
 from .errors import ConfigError, DomainError, NonFiniteError, WorkerError
 from .models import MLPModel
-from .numerics import single_blas_thread, spawn_stream
+from .numerics import rng_stream, single_blas_thread
 from .optimizer import STEPS, HyperParams, run
 from .potentials import SquaredL2, parse_potential
 
@@ -81,6 +81,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
         if np.isnan(self.stop_tol):
             raise ConfigError("stop_tol must be a number, got nan")
+        for key in ("noise", "separation", "init_scale"):
+            if not 0.0 <= getattr(self, key) < float("inf"):
+                raise ConfigError(f"{key} must be finite and at least 0, got {getattr(self, key)}")
         if not 0.0 <= self.corruption <= 1.0:
             raise ConfigError(f"corruption must lie in [0, 1], got {self.corruption}")
         if not self.lambdas or not self.etas or not self.algorithms:
@@ -143,7 +146,7 @@ def load_config(path, overrides=None):
 
 
 def build_datasets(cfg):
-    rng = spawn_stream(cfg.seed, 0)
+    rng = rng_stream(cfg.seed, 0)
     train, test = generate_synthetic(cfg.classes, cfg.n_train, cfg.n_test,
                                      cfg.input_dim, cfg.noise, rng,
                                      separation=cfg.separation)
@@ -182,7 +185,7 @@ def _cell_rows(cfg, model, potential, train, test, cell):
     index, alg, lam, eta = cell
     hp = HyperParams(eta=eta, lam=lam if lam is not None else 1.0,
                      batch_size=min(cfg.batch_size, train.n))
-    rng = spawn_stream(cfg.seed, 1, index)
+    rng = rng_stream(cfg.seed, 1, index)
     pot = potential if alg in ("smd", "rmd") else SquaredL2()
     try:
         result = run(model, train, alg, pot, hp, rng,

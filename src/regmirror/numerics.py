@@ -70,81 +70,48 @@ def single_blas_thread():
         set_(previous)
 
 
-def rng_stream(seed):
-    """Return a deterministic PCG64 generator for the given 64-bit seed."""
-    return np.random.Generator(np.random.PCG64(seed))
+def rng_stream(seed, *path):
+    """Return a deterministic PCG64 generator for a seed and integer path.
 
-
-def spawn_stream(seed, *path):
-    """Derive an independent child stream from a seed and integer path.
-
-    Used to give each experiment grid cell its own stream so cells can
-    be reordered (or parallelized) without changing any draw.
+    Each path names an independent child stream, so experiment grid cells
+    can be reordered (or parallelized) without changing any draw. Without
+    a path it draws as ``Generator(PCG64(seed))``, whose seeding is
+    ``SeedSequence([seed])``.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, path)])))
 
 
-def symmetric_eigenvalues(a):
-    """Eigenvalues of the symmetric matrix A from ``numpy.linalg.eigvalsh``.
+def solve_linear_system(a, b):
+    """Solve the symmetric system A x = b with LAPACK (``lapack_solve``).
 
-    It reads only A's lower triangle and does about half the work of the
-    SVD a general matrix needs. Raises SingularMatrixError when A has a
-    non-finite entry or LAPACK's eigenvalue solver fails.
-    """
-    # LAPACK's eigenvalue solver can return finite values for a matrix
-    # holding a NaN, so such a matrix is refused before it
-    if not np.isfinite(a).all():
-        raise SingularMatrixError("matrix has a non-finite entry")
-    try:
-        return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
-
-
-def eigenvalue_condition(eig):
-    """2-norm condition number max |eig| / min |eig| of a symmetric matrix
-    with eigenvalues ``eig``; a Python float, inf when one of them is 0."""
-    eig = np.abs(eig)
-    smallest = eig.min()
-    return float(eig.max() / smallest) if smallest > 0.0 else float("inf")
-
-
-def condition_number(a):
-    """2-norm condition number of the symmetric matrix A, from its eigenvalues
-    (``symmetric_eigenvalues``, whose SingularMatrixError it passes on)."""
-    return eigenvalue_condition(symmetric_eigenvalues(a))
-
-
-def solve_linear_system(a, b, condition_bound=None):
-    """Solve the symmetric system A x = b with LAPACK (``numpy.linalg.solve``).
-
-    A must be symmetric up to rounding, as are the systems the oracles
-    pass here (X X^T and the ridge dual I + lam X X^T; the KKT Newton's
-    step systems go to ``lapack_solve``). Raises SingularMatrixError when
-    A's condition number (``condition_number``) exceeds MAX_CONDITION, when
-    A has a non-finite entry, or when LAPACK finds A exactly singular.
+    The oracles pass three systems here, all symmetric up to rounding:
+    X X^T for ``min_norm_l2`` and for the warm start of
+    ``min_potential_dual``, and I + lam X X^T for ``ridge_closed_form``
+    (the KKT Newton's step systems go to ``lapack_solve`` directly).
+    Raises SingularMatrixError when A has a non-finite entry, when its
+    condition number max |eig| / min |eig| from one ``eigvalsh`` call (inf
+    for a zero eigenvalue) exceeds MAX_CONDITION, or when LAPACK fails.
     Intended for the small (<= a few hundred dimensional) systems the
     oracles produce.
-
-    ``condition_bound`` is an upper bound on A's condition number that the
-    caller has proved, such as 1 + lam ||X||_F^2 for I + lam X X^T, whose
-    eigenvalues are 1 + lam s_i^2 over the singular values s_i of X. When
-    the bound is at most MAX_CONDITION / 2 the eigenvalue solve is skipped;
-    the margin of 2 covers the rounding in forming A and in the bound.
-    Without a bound, or with an infinite, NaN or larger one, the exact
-    test runs. Either way A is accepted or refused alike, and the answer
-    comes from the same LAPACK solve.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n,):
         raise ValueError(f"expected square system, got A{a.shape}, b{b.shape}")
-    if condition_bound is None or not condition_bound <= MAX_CONDITION / 2:
-        condition = condition_number(a)
-        # "not <=" also refuses a NaN condition number
-        if not condition <= MAX_CONDITION:
-            raise SingularMatrixError(f"condition number {condition:.3e} above {MAX_CONDITION:.0e}")
+    # LAPACK's eigenvalue solver can return finite values for a matrix
+    # holding a NaN, so such a matrix is refused before it
+    if not np.isfinite(a).all():
+        raise SingularMatrixError("matrix has a non-finite entry")
+    try:
+        eig = np.abs(np.linalg.eigvalsh(a))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from exc
+    smallest = eig.min()
+    condition = float(eig.max() / smallest) if smallest > 0.0 else float("inf")
+    # "not <=" also refuses a NaN condition number
+    if not condition <= MAX_CONDITION:
+        raise SingularMatrixError(f"condition number {condition:.3e} above {MAX_CONDITION:.0e}")
     return lapack_solve(a, b)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NewtonDivergenceError
 from .potentials import NegativeEntropy, QNorm, SquaredL2
-from .numerics import condition_number, lapack_solve, solve_linear_system
+from .numerics import lapack_solve, solve_linear_system
 
 
 @dataclasses.dataclass
@@ -188,10 +188,8 @@ def min_potential_dual(problem, potential, anchor=None):
     x, y = problem.X, problem.y
     n, p = x.shape
     base = np.zeros(p) if anchor is None else potential.grad(np.asarray(anchor, dtype=float))
-    gram = x @ x.T
-    gram_condition = condition_number(gram)
     start = potential.grad_inverse(base)
-    nu = solve_linear_system(gram, y - x @ start, condition_bound=gram_condition)
+    nu = solve_linear_system(x @ x.T, y - x @ start)
     w_l2 = start + x.T @ nu
     if n == p:
         w = w_l2  # X is invertible: its only interpolant
@@ -218,19 +216,14 @@ def ridge_closed_form(rp):
     Its eigenvalues are 1 + lam s_i^2 over the singular values s_i of X,
     so it is positive definite for every lam > 0 and never worse
     conditioned than the normal matrix, which adds p - n eigenvalues 1.
-    For lam >= 0 they lie in [1, 1 + lam ||X||_F^2], ||X||_F^2 being
-    sum s_i^2 = trace(X X^T), which bounds the condition number for
-    ``solve_linear_system``.
     """
     if not isinstance(rp.potential, SquaredL2):
         raise ValueError("closed form requires the squared-l2 potential")
     x, y = rp.problem.X, rp.problem.y
     n, p = x.shape
     a = np.zeros(p) if rp.anchor is None else np.asarray(rp.anchor, dtype=float)
-    gram = x @ x.T
     lam = float(rp.lam)
-    bound = 1.0 + lam * float(np.trace(gram)) if lam >= 0.0 else float("inf")
-    nu = solve_linear_system(np.eye(n) + lam * gram, lam * (y - x @ a), condition_bound=bound)
+    nu = solve_linear_system(np.eye(n) + lam * (x @ x.T), lam * (y - x @ a))
     return a + x.T @ nu
 
 

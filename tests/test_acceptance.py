@@ -20,7 +20,7 @@ import pytest
 from regmirror.data import Dataset, generate_synthetic
 from regmirror.harness import load_config, run_experiment
 from regmirror.models import LinearModel, MLPModel
-from regmirror.numerics import rng_stream, spawn_stream
+from regmirror.numerics import rng_stream
 from regmirror.optimizer import HyperParams, rmd_minibatch_step, run, smd_step
 from regmirror.optimizer import OptimizerState
 from regmirror.oracle import (InterpolationProblem, RegularizedProblem,
@@ -272,6 +272,7 @@ def test_c08_potential_invariants(acceptance_record):
            f"{min_w:.2e} (> 0)")
 
 
+@pytest.mark.slow
 def test_c09_corruption_robustness(acceptance_record, tmp_path):
     """Criterion 9: 25% label corruption, harness task, 3 seeds.
 
@@ -320,7 +321,7 @@ def test_c10_stop_reasons(acceptance_record):
     res_rmd = run(LinearModel(30), ds, "rmd", SquaredL2(), hp, rng_stream(10),
                   epochs=20_000, w0=np.zeros(30), stop_window=500, stop_tol=1e-4)
     # SGD on separable classification reaches 100% train accuracy
-    train, _ = generate_synthetic(2, 30, 0, 10, 0.2, spawn_stream(110, 0))
+    train, _ = generate_synthetic(2, 30, 0, 10, 0.2, rng_stream(110, 0))
     res_sgd = run(MLPModel((10, 2)), train, "sgd", SquaredL2(),
                   HyperParams(eta=0.05, batch_size=4), rng_stream(11), epochs=500)
     ok = (res_rmd.stop_reason == "constraint-converged"

@@ -196,6 +196,10 @@ BAD_VALUES = [
     ("stop_window", "stop_window = 0"),  # every rmd and wd cell would stop after epoch 1
     ("stop_tol", "stop_tol = nan"),  # every rmd and wd cell would run to the epoch budget
     ("potential", "potential = q:inf"),  # smd weights would never move
+    ("noise", "noise = nan"),  # every cell would be non-finite at epoch 0
+    ("separation", "separation = inf"),  # likewise
+    ("init_scale", "init_scale = nan"),  # likewise
+    ("init_scale", "init_scale = -1"),  # a standard deviation below 0
     ("potential", None),  # regmirror oracle --potential foo
 ]
 

@@ -3,7 +3,7 @@ import pytest
 
 import regmirror.oracle as oracle
 from regmirror.errors import SingularMatrixError
-from regmirror.numerics import MAX_CONDITION, rng_stream, solve_linear_system
+from regmirror.numerics import MAX_CONDITION, rng_stream
 from regmirror.oracle import (InterpolationProblem, RegularizedProblem, min_norm_l2,
                               min_potential_dual, regularized_objective,
                               regularized_reference, ridge_closed_form)
@@ -245,37 +245,26 @@ def test_reference_stops_at_rounding_in_few_systems(monkeypatch, name, lam, seed
     assert np.max(np.abs(grad)) <= 1e-6 * max(np.max(np.abs(term)) for term in terms)
 
 
-def test_condition_bounds_leave_answers_unchanged(monkeypatch):
-    # a bound only skips the eigenvalue solve of a system the exact test
-    # accepts, so dropping every bound changes no answer
-    problems, ridges = [], []
-    for n, p in ((10, 30), (20, 100)):
-        x, y = _seeded_instance(n, n, p)
-        y_pos = x @ rng_stream(p).uniform(0.5, 1.5, p)
-        for name in ("l2", "q:3", "q:1.5", "linf", "l1eps", "entropy"):
-            problems.append((InterpolationProblem(x, y_pos if name == "entropy" else y),
-                             parse_potential(name)))
-        # lambda 1e13 lands past the margin, so ridge keeps the exact test there
-        ridges += [RegularizedProblem(InterpolationProblem(x, y), lam, SquaredL2())
-                   for lam in (1.0, 1e13)]
-
-    def solve_all():
-        return ([min_potential_dual(problem, potential) for problem, potential in problems]
-                + [ridge_closed_form(rp) for rp in ridges])
-
-    bounded = solve_all()
-    bounds = []
-
-    def without_bound(a, b, condition_bound=None):
-        bounds.append(condition_bound)
-        return solve_linear_system(a, b)
-
-    monkeypatch.setattr(oracle, "solve_linear_system", without_bound)
-    for w, w_exact in zip(bounded, solve_all(), strict=True):
-        assert np.array_equal(w, w_exact)
-    # most solves had a certified bound, so the two runs took different paths
-    certified = [b for b in bounds if b is not None and b <= MAX_CONDITION / 2]
-    assert len(certified) > len(bounds) / 2
+def test_one_eigenvalue_solve_per_guarded_solve(monkeypatch):
+    # solve_linear_system's condition test is one eigvalsh call, and the
+    # KKT Newton's step systems make none
+    problem = InterpolationProblem(*_seeded_instance(0, 10, 30))
+    # X X^T = diag(1, 1.25e-12): condition number 8e11, accepted, but
+    # within a factor 2 of MAX_CONDITION
+    x_ill = np.zeros((2, 4))
+    x_ill[0, 0], x_ill[1, 1] = 1.0, np.sqrt(1.25e-12)
+    assert MAX_CONDITION / 2 < np.linalg.cond(x_ill @ x_ill.T) <= MAX_CONDITION
+    ill = InterpolationProblem(x_ill, np.ones(2))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    for solve in (lambda: min_norm_l2(problem),
+                  lambda: min_potential_dual(ill, SquaredL2()),
+                  lambda: ridge_closed_form(RegularizedProblem(problem, 1.0, SquaredL2())),
+                  lambda: ridge_closed_form(RegularizedProblem(problem, 1e13, SquaredL2()))):
+        calls.clear()
+        solve()
+        assert len(calls) == 1
 
 
 class TestRidgeClosedForm:
