@@ -30,9 +30,10 @@ class TestSolveLinearSystem:
         assert np.allclose(a @ x, b, atol=1e-12)
 
     def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match="condition number"):
             solve_linear_system(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
-        with pytest.raises(SingularMatrixError):
+        # a zero eigenvalue reads as an infinite condition number
+        with pytest.raises(SingularMatrixError, match="condition number inf"):
             solve_linear_system(np.zeros((2, 2)), np.zeros(2))
         # non-finite entries; LAPACK's eigenvalue solver reads the NaN one as well conditioned
         for bad in (np.nan, np.inf):
@@ -99,9 +100,10 @@ def test_lapack_solve_has_no_condition_limit():
 class TestRandomness:
     def test_rng_stream_independent_of_order(self):
         a = rng_stream(5, 1, 2).standard_normal(4)
-        _ = rng_stream(5, 1, 3).standard_normal(4)
+        other = rng_stream(5, 1, 3).standard_normal(4)
         b = rng_stream(5, 1, 2).standard_normal(4)
         assert np.array_equal(a, b)
+        assert not np.array_equal(a, other)
 
     def test_rng_stream_without_path_is_pcg64_of_seed(self):
         # pins the draws of `regmirror oracle --seed` and of every test stream
