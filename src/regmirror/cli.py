@@ -76,8 +76,10 @@ def _cmd_oracle(args):
         raise RegmirrorError(f"--n must be at least 1, got {args.n}")
     if args.p < args.n:
         raise RegmirrorError(f"--p must be at least --n ({args.n}), got {args.p}")
-    if not args.lam > 0.0:
-        raise RegmirrorError(f"--lambda must be positive, got {args.lam:g}")
+    if not 0.0 < args.lam < np.inf:
+        raise RegmirrorError(f"--lambda must be finite and positive, got {args.lam:g}")
+    if args.seed < 0:
+        raise RegmirrorError(f"--seed must be at least 0, got {args.seed}")
     rng = rng_stream(args.seed)
     x = rng.standard_normal((args.n, args.p))
     y = rng.standard_normal(args.n)

@@ -2,9 +2,10 @@
 
 Config files are flat ``key = value`` text ('#' starts a comment).
 The fields of ``ExperimentConfig`` define the keys: each carries its
-default, the parser of its text and, for the keys ``regmirror run``
-can override, its flag. Bad values raise ``ConfigError`` naming the
-key, before anything runs.
+default, the parser of its text, the rule each parsed value must pass
+and, for the keys ``regmirror run`` can override, its flag. A bad value
+raises ``ConfigError`` "bad value for '<key>': '<text>' (<reason>)",
+before anything runs.
 
 A grid runs one training per (algorithm, lambda, eta) cell with a
 cell-local random stream derived from (seed, cell index), so the
@@ -44,64 +45,56 @@ def _names(text):
     return tuple(v.strip() for v in text.split(","))  # keeps empty items
 
 
-def _key(default, parse, flag=None):
-    """A config key: its default, the parser of its text, its ``regmirror run`` flag."""
-    return dataclasses.field(default=default, metadata={"parse": parse, "flag": flag})
+def _potential(text):
+    parse_potential(text)  # raises ValueError on a spec it does not accept
+    return text
+
+
+def _at_least(low):
+    return lambda value: value >= low, f"at least {low}"
+
+
+def _one_of(*names):
+    return lambda name: name in names, "one of " + ", ".join(names)
+
+
+_FINITE_NONNEGATIVE = (lambda value: 0.0 <= value < np.inf, "finite and at least 0")
+_FINITE_POSITIVE = (lambda value: 0.0 < value < np.inf, "finite and positive")
+
+
+def _key(default, parse, flag=None, rule=(lambda value: True, "any")):
+    """A config key: its default, the parser of its text, its ``regmirror run`` flag, and its
+    rule: a test each parsed value (each item, for a tuple) must pass, and what passes."""
+    return dataclasses.field(default=default, metadata={
+        "parse": parse, "flag": flag, "ok": rule[0], "need": rule[1]})
 
 
 @dataclasses.dataclass
 class ExperimentConfig:
-    """The config keys; each field is the one definition of its key."""
+    """The config keys, one field each; only ``load_config`` checks their rules."""
 
-    model: str = _key("mlp", str)
-    hidden: tuple = _key((64, 64), _widths)
-    classes: int = _key(10, int)
-    n_train: int = _key(500, int)
-    n_test: int = _key(500, int)
-    input_dim: int = _key(20, int)
-    noise: float = _key(0.3, float)
-    separation: float = _key(8.0, float)
-    corruption: float = _key(0.0, float, "--corruption")
-    algorithms: tuple = _key(("sgd", "rmd", "wd"), _names, "--algorithm")
-    lambdas: tuple = _key((0.7, 1.0, 1.3, 1.6, 2.0), _reals, "--lambda")
-    etas: tuple = _key((0.001, 0.01, 0.1), _reals, "--eta")
-    potential: str = _key("l2", str, "--potential")
-    batch_size: int = _key(32, int, "--batch-size")
-    epochs: int = _key(2000, int, "--epochs")
-    stop_window: int = _key(500, int, "--stop-window")
-    stop_tol: float = _key(1e-4, float, "--stop-tol")
-    seed: int = _key(0, int, "--seed")
-    init_scale: float = _key(0.01, float)
+    model: str = _key("mlp", str, rule=_one_of("mlp", "linear"))
+    hidden: tuple = _key((64, 64), _widths, rule=_at_least(1))
+    classes: int = _key(10, int, rule=_at_least(2))
+    n_train: int = _key(500, int, rule=_at_least(1))
+    n_test: int = _key(500, int, rule=_at_least(0))
+    input_dim: int = _key(20, int, rule=_at_least(1))
+    noise: float = _key(0.3, float, rule=_FINITE_NONNEGATIVE)
+    separation: float = _key(8.0, float, rule=_FINITE_NONNEGATIVE)
+    corruption: float = _key(0.0, float, "--corruption", rule=(lambda v: 0 <= v <= 1, "in [0, 1]"))
+    algorithms: tuple = _key(("sgd", "rmd", "wd"), _names, "--algorithm", rule=_one_of(*STEPS))
+    lambdas: tuple = _key((0.7, 1.0, 1.3, 1.6, 2.0), _reals, "--lambda", rule=_FINITE_POSITIVE)
+    etas: tuple = _key((0.001, 0.01, 0.1), _reals, "--eta", rule=_FINITE_POSITIVE)
+    potential: str = _key("l2", _potential, "--potential",
+                          rule=(lambda text: True,  # _potential refuses the rest
+                                "l2, q:<r> (r > 1), l1eps[:<eps>] (eps > 0), linf or entropy"))
+    batch_size: int = _key(32, int, "--batch-size", rule=_at_least(1))
+    epochs: int = _key(2000, int, "--epochs", rule=_at_least(1))
+    stop_window: int = _key(500, int, "--stop-window", rule=_at_least(1))
+    stop_tol: float = _key(1e-4, float, "--stop-tol", rule=_FINITE_NONNEGATIVE)
+    seed: int = _key(0, int, "--seed", rule=_at_least(0))
+    init_scale: float = _key(0.01, float, rule=_FINITE_NONNEGATIVE)
     out: str = _key("metrics.csv", str, "--out")
-
-    def __post_init__(self):
-        for key, low in (("classes", 2), ("n_train", 1), ("n_test", 0), ("input_dim", 1),
-                         ("batch_size", 1), ("epochs", 1), ("stop_window", 1)):
-            if getattr(self, key) < low:
-                raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
-        if np.isnan(self.stop_tol):
-            raise ConfigError("stop_tol must be a number, got nan")
-        for key in ("noise", "separation", "init_scale"):
-            if not 0.0 <= getattr(self, key) < float("inf"):
-                raise ConfigError(f"{key} must be finite and at least 0, got {getattr(self, key)}")
-        if not 0.0 <= self.corruption <= 1.0:
-            raise ConfigError(f"corruption must lie in [0, 1], got {self.corruption}")
-        if not self.lambdas or not self.etas or not self.algorithms:
-            raise ConfigError("algorithm, lambda, and eta grids must be nonempty")
-        for key in ("lambdas", "etas"):
-            if not all(v > 0.0 for v in getattr(self, key)):
-                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
-        for alg in self.algorithms:
-            if alg not in STEPS:
-                raise ConfigError(f"unknown algorithm {alg!r}")
-        if self.model not in ("mlp", "linear"):
-            raise ConfigError(f"model must be 'mlp' or 'linear', got {self.model!r}")
-        if self.model == "mlp" and not all(v >= 1 for v in self.hidden):
-            raise ConfigError(f"hidden widths must be at least 1, got {self.hidden}")
-        try:
-            parse_potential(self.potential)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for 'potential': {self.potential!r} ({exc})") from exc
 
     def build_model(self):
         if self.model == "linear":
@@ -138,8 +131,12 @@ def load_config(path, overrides=None):
     values = {}
     for key, text in texts.items():
         text = text.strip()
+        meta = _FIELDS[key].metadata
         try:
-            values[key] = _FIELDS[key].metadata["parse"](text)
+            values[key] = meta["parse"](text)
+            for item in values[key] if isinstance(values[key], tuple) else (values[key],):
+                if not meta["ok"](item):
+                    raise ValueError(f"{item!r} is not {meta['need']}")
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc
     return ExperimentConfig(**values)

@@ -181,8 +181,8 @@ def test_run_flags_are_the_listed_ones(capsys):
     assert flags == {"--help", "--force"} | {flag for flag, *_ in RUN_FLAGS}
 
 
-# the key a bad value's error must name, and the config lines (appended to
-# CONFIG) that set it; None runs `regmirror oracle --potential foo` instead
+# the key or flag a bad value's error must name, and the config lines (appended
+# to CONFIG) that set it, or the `regmirror oracle` arguments that pass it
 BAD_VALUES = [
     ("batch_size", "batch_size = 0"),
     ("etas", "etas = 0"),
@@ -190,31 +190,41 @@ BAD_VALUES = [
     ("n_train", "n_train = 0"),
     ("classes", "classes = 0"),
     ("hidden", "model = mlp\nhidden = 0"),
+    ("hidden", "model = linear\nhidden = 64,0"),  # every width, whatever the model
     ("potential", "potential = q:1"),
     ("potential", "potential = foo"),
     ("epochs", "epochs = 0"),
     ("stop_window", "stop_window = 0"),  # every rmd and wd cell would stop after epoch 1
     ("stop_tol", "stop_tol = nan"),  # every rmd and wd cell would run to the epoch budget
+    ("stop_tol", "stop_tol = -1"),  # likewise
+    ("stop_tol", "stop_tol = inf"),  # every rmd and wd cell would stop at its first window
     ("potential", "potential = q:inf"),  # smd weights would never move
     ("noise", "noise = nan"),  # every cell would be non-finite at epoch 0
     ("separation", "separation = inf"),  # likewise
-    ("init_scale", "init_scale = nan"),  # likewise
+    ("etas", "etas = inf"),  # likewise
+    ("lambdas", "lambdas = inf"),  # rmd would run as smd and wd as sgd
+    ("init_scale", "init_scale = nan"),  # every cell would be non-finite at epoch 0
     ("init_scale", "init_scale = -1"),  # a standard deviation below 0
-    ("potential", None),  # regmirror oracle --potential foo
+    ("seed", "seed = -1"),  # numpy refuses a negative seed
+    ("algorithms", "algorithms = sgd,,rmd"),
+    ("potential", ["--potential", "foo"]),
+    ("--seed", ["--seed", "-1"]),
+    ("--lambda", ["--kind", "ridge", "--lambda", "inf"]),
+    ("--lambda", ["--kind", "reference", "--lambda", "inf"]),
 ]
 
 
-@pytest.mark.parametrize("key, lines", BAD_VALUES,
-                         ids=[lines.splitlines()[-1].replace(" ", "") if lines else "oracle"
-                              for _, lines in BAD_VALUES])
-def test_bad_value_is_one_error_line(tmp_path, capsys, key, lines):
+@pytest.mark.parametrize("key, case", BAD_VALUES,
+                         ids=[case.splitlines()[-1].replace(" ", "") if isinstance(case, str)
+                              else "oracle" + "".join(case) for _, case in BAD_VALUES])
+def test_bad_value_is_one_error_line(tmp_path, capsys, key, case):
     out = tmp_path / "metrics.csv"
-    if lines is None:
-        argv = ["oracle", "--potential", "foo"]
-    else:
+    if isinstance(case, str):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(CONFIG + lines + "\n")
+        cfg.write_text(CONFIG + case + "\n")
         argv = ["run", str(cfg), "--out", str(out)]
+    else:
+        argv = ["oracle", *case]
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]

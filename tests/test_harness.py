@@ -77,12 +77,13 @@ class TestConfig:
             load_config(write_config(tmp_path, algorithms="adam"))
 
     def test_list_items(self, tmp_path):
-        # hidden drops empty items, lambdas and etas reject them, algorithms keeps them
+        # hidden drops empty items, lambdas and etas reject them, and algorithms
+        # keeps them for its rule to refuse
         assert load_config(write_config(tmp_path, hidden="16,,16,")).hidden == (16, 16)
         for key in ("lambdas", "etas"):
             with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
                 load_config(write_config(tmp_path, **{key: "0.5,,2"}))
-        with pytest.raises(ConfigError, match="unknown algorithm ''"):
+        with pytest.raises(ConfigError, match="bad value for 'algorithms'"):
             load_config(write_config(tmp_path, algorithms="sgd,,rmd"))
 
     def test_every_default_written_as_text_loads_back(self, tmp_path):
@@ -97,14 +98,17 @@ class TestConfig:
 
     def test_readme_key_table_matches_defaults(self, tmp_path):
         with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
-            table = fh.read().split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
-        lines = []
+            table = fh.read().split("| key | default | valid values | meaning |\n"
+                                    "| --- | --- | --- | --- |\n", 1)[1]
+        lines, needs = [], {}
         for row in table.split("\n\n", 1)[0].splitlines():
-            keys, defaults = (re.findall(r"`([^`]*)`", cell) for cell in row.split("|")[1:3])
-            assert len(keys) == len(defaults), row
+            keys, defaults, rules = (re.findall(r"`([^`]*)`", cell)
+                                     for cell in row.split("|")[1:4])
+            assert len(keys) == len(defaults) == len(rules), row
             lines += [f"{key} = {text}" for key, text in zip(keys, defaults)]
-        assert ({line.split(" = ")[0] for line in lines}
-                == {field.name for field in dataclasses.fields(ExperimentConfig)})
+            needs.update(zip(keys, rules))
+        assert needs == {field.name: field.metadata["need"]
+                         for field in dataclasses.fields(ExperimentConfig)}
         path = tmp_path / "readme.cfg"
         path.write_text("\n".join(lines))
         assert load_config(path) == ExperimentConfig()
