@@ -15,14 +15,14 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NewtonDivergenceError
+from .errors import NewtonDivergenceError, SingularMatrixError
 from .potentials import NegativeEntropy, QNorm, SquaredL2
 from .numerics import lapack_solve, solve_linear_system
 
 
 @dataclasses.dataclass
 class InterpolationProblem:
-    """Underdetermined linear system X w = y with X of shape (n, p), p >= n."""
+    """Underdetermined linear system X w = y with X of shape (n, p), p >= n, all finite."""
 
     X: np.ndarray
     y: np.ndarray
@@ -35,6 +35,10 @@ class InterpolationProblem:
             raise ValueError(f"y has shape {self.y.shape}, expected ({n},)")
         if p < n:
             raise ValueError(f"need p >= n for interpolation, got n={n}, p={p}")
+        if not np.isfinite(self.X).all():
+            raise SingularMatrixError("matrix has a non-finite entry")
+        if not np.isfinite(self.y).all():
+            raise ValueError("y has a non-finite entry")
 
 
 @dataclasses.dataclass

@@ -37,6 +37,30 @@ def _assert_interpolant(x, y, w, potential, anchor=None):
     assert np.max(np.abs(off_rows)) <= 1e-9 * scale
 
 
+_SOLVERS = {
+    "min_norm_l2": min_norm_l2,
+    "dual": lambda problem: min_potential_dual(problem, QNorm(3.0)),
+    "ridge": lambda problem: ridge_closed_form(RegularizedProblem(problem, 1.0, SquaredL2())),
+    "reference": lambda problem: regularized_reference(
+        RegularizedProblem(problem, 1.0, QNorm(3.0))),
+}
+
+
+@pytest.mark.parametrize("solver", _SOLVERS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where, error, message", [("X", SingularMatrixError, "non-finite"),
+                                                   ("y", ValueError, "y has a non-finite")])
+def test_non_finite_instance_is_refused(solver, bad, where, error, message):
+    # each solver would return NaN weights or fail later with a misleading message
+    x, y = _seeded_instance(0, 4, 12)
+    if where == "X":
+        x[1, 5] = bad
+    else:
+        y[2] = bad
+    with pytest.raises(error, match=message):
+        _SOLVERS[solver](InterpolationProblem(x, y))
+
+
 class TestMinNormL2:
     def test_symmetric_row(self):
         w = min_norm_l2(InterpolationProblem(np.array([[1.0, 1.0]]), np.array([2.0])))
