@@ -49,7 +49,8 @@ _SOLVERS = {
 @pytest.mark.parametrize("solver", _SOLVERS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where, error, message", [("X", SingularMatrixError, "non-finite"),
-                                                   ("y", ValueError, "y has a non-finite")])
+                                                   ("y", ValueError, "y has a non-finite")],
+                         ids=["X", "y"])
 def test_non_finite_instance_is_refused(solver, bad, where, error, message):
     # each solver would return NaN weights or fail later with a misleading message
     x, y = _seeded_instance(0, 4, 12)
