@@ -17,6 +17,7 @@ import contextlib
 import dataclasses
 import os
 import pickle
+import struct
 
 import numpy as np
 
@@ -251,15 +252,21 @@ def _write_csv(path, rows):
         raise
 
 
+# At most this many claims sit in the cell queue, 4 bytes each, so the
+# whole queue fits in a pipe's buffer and is written before any fork.
+_MAX_CLAIMS = 1024
+_CLAIM = struct.Struct("<I")
+
+
 def _run_cells(run_cell, count, jobs):
     """[run_cell(p) for p in range(count)], spread over up to ``jobs`` processes.
 
-    Process k of ``jobs`` runs positions k, k + jobs, k + 2 jobs, ...:
-    the calling process is k = 0, and ``jobs - 1`` forked helpers inherit
-    the data and model and each gets its stride when forked. Helpers
-    send their results back pickled over a pipe of their own; an
-    exception in any process reaches the caller after every helper has
-    been reaped, and the caller finishes its own stride first.
+    The calling process runs cells itself; ``jobs - 1`` forked helpers
+    inherit the data and model and run cells alongside it. Every process
+    claims the next block of positions from a shared pipe when it goes
+    idle, because cells differ widely in length. Helpers send their
+    results back pickled over a pipe of their own; an exception in any
+    process reaches the caller after every helper has been reaped.
 
     Forking is safe although OpenBLAS may hold idle threads: it shuts
     its thread pool down around fork() through pthread_atfork.
@@ -267,23 +274,30 @@ def _run_cells(run_cell, count, jobs):
     jobs = min(jobs, count) if hasattr(os, "fork") else 1
     if jobs <= 1:
         return [run_cell(position) for position in range(count)]
+    block = -(-count // _MAX_CLAIMS)
+    queue_r, queue_w = os.pipe()
+    os.write(queue_w, b"".join(_CLAIM.pack(start) for start in range(0, count, block)))
+    os.close(queue_w)
     helpers = []  # (pid, read end of its result pipe)
     try:
-        for k in range(1, jobs):
+        for _ in range(jobs - 1):
             result_r, result_w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _helper_main(run_cell, range(k, count, jobs), result_w)
+                _helper_main(run_cell, count, block, queue_r, result_w)
             os.close(result_w)
             helpers.append((pid, result_r))
-        done = {position: run_cell(position) for position in range(0, count, jobs)}
+        done = _claim_cells(run_cell, count, block, queue_r)
     except BaseException:
         import signal  # imported here, off the start-up path of every run
 
+        _drain(queue_r)
         for pid, _ in helpers:
             os.kill(pid, signal.SIGKILL)
         _reap(helpers)
         raise
+    finally:
+        os.close(queue_r)
     error = None
     for pid, data in _reap(helpers):
         payload = pickle.loads(data) if data else None
@@ -299,14 +313,33 @@ def _run_cells(run_cell, count, jobs):
     return [done[position] for position in range(count)]
 
 
-def _helper_main(run_cell, positions, result_w):
-    """Body of a forked helper: run its positions, send them back, exit."""
+def _claim_cells(run_cell, count, block, queue_r):
+    done = {}
+    while True:
+        # reads get whole claims: the queue is written in full before any read
+        claim = os.read(queue_r, _CLAIM.size)
+        if not claim:
+            return done
+        start, = _CLAIM.unpack(claim)
+        for position in range(start, min(start + block, count)):
+            done[position] = run_cell(position)
+
+
+def _drain(queue_r):
+    """Take every unclaimed cell off the queue so the other processes stop."""
+    while os.read(queue_r, 4096):
+        pass
+
+
+def _helper_main(run_cell, count, block, queue_r, result_w):
+    """Body of a forked helper: run claimed cells, send them back, exit."""
     try:
         try:
-            payload = ("ok", {position: run_cell(position) for position in positions})
+            payload = ("ok", _claim_cells(run_cell, count, block, queue_r))
         except BaseException as exc:
             import traceback  # imported here, off the start-up path of every run
 
+            _drain(queue_r)
             payload = ("error", exc, traceback.format_exc())
             try:
                 pickle.loads(pickle.dumps(exc))  # the parent must be able to rebuild it

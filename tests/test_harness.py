@@ -264,33 +264,40 @@ class TestParallelCells:
         assert seen and set(seen) == {1}
         assert after == 2
 
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_each_process_runs_its_stride(self, tmp_path, monkeypatch, jobs):
-        monkeypatch.setattr(harness, "_default_jobs", lambda: 1)
+    def test_idle_process_takes_the_remaining_cells(self, tmp_path, monkeypatch):
+        # cells are claimed as processes go idle, not split up front: while
+        # one process is held on its first cell, the other runs all the rest
         cfg = load_config(write_config(tmp_path, GRID_11_CELLS),
-                          {"out": str(tmp_path / "jobs1.csv")})
-        run_experiment(cfg)
+                          {"out": str(tmp_path / "m.csv")})
         positions = {(alg, 1.0 if lam is None else lam, eta): index
                      for index, alg, lam, eta in harness._grid(cfg)}
+        count = len(positions)
         log, real_run = tmp_path / "runs.log", harness.run
+        last_r, last_w = os.pipe()
 
         def recording_run(model, train, alg, pot, hp, *args, **kwargs):
+            position = positions[alg, hp.lam, hp.eta]
+            if position == 0:
+                select.select([last_r], [], [], 30)  # until the last cell has run
+            result = real_run(model, train, alg, pot, hp, *args, **kwargs)
             with open(log, "a") as fh:  # one short O_APPEND write per line
-                fh.write(f"{os.getpid()} {positions[alg, hp.lam, hp.eta]}\n")
-            return real_run(model, train, alg, pot, hp, *args, **kwargs)
+                fh.write(f"{os.getpid()} {position}\n")
+            if position == count - 1:
+                os.write(last_w, b"x")
+            return result
 
         monkeypatch.setattr(harness, "run", recording_run)
-        monkeypatch.setattr(harness, "_default_jobs", lambda: jobs)
-        out = tmp_path / f"jobs{jobs}.csv"
-        run_experiment(dataclasses.replace(cfg, out=str(out)))
+        monkeypatch.setattr(harness, "_default_jobs", lambda: 2)
+        try:
+            run_experiment(cfg)
+        finally:
+            os.close(last_r)
+            os.close(last_w)
         ran = {}
         for line in log.read_text().splitlines():
             pid, position = line.split()
             ran.setdefault(int(pid), []).append(int(position))
-        count = len(positions)
-        assert ran.pop(os.getpid()) == list(range(0, count, jobs))
-        assert sorted(ran.values()) == [list(range(k, count, jobs)) for k in range(1, jobs)]
-        assert out.read_bytes() == (tmp_path / "jobs1.csv").read_bytes()
+        assert sorted(ran.values()) == [[0], list(range(1, count))]
 
     def test_helper_exception_reaches_caller(self, tmp_path, monkeypatch):
         parent, real_run = os.getpid(), harness.run
@@ -300,8 +307,7 @@ class TestParallelCells:
             if os.getpid() != parent:
                 os.write(started_w, b"x")
                 raise RuntimeError("helper cell failed")
-            # hold the parent's first cell until the helper has failed: the
-            # parent then finishes its own stride before it raises
+            # hold the parent's first cell until a helper has claimed one
             select.select([started_r], [], [], 30)
             return real_run(*args, **kwargs)
 

@@ -139,8 +139,8 @@ class TestMinPotentialDual:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_design_is_a_singular_system(self, bad):
-        # X X^T is refused before its eigenvalue solve, which would raise
-        # numpy's LinAlgError on it
+        # InterpolationProblem refuses the non-finite X when it is built,
+        # before any solver forms X X^T
         x, y = _seeded_instance(0, 4, 12)
         x[1, 5] = bad
         with pytest.raises(SingularMatrixError, match="non-finite"):
