@@ -73,7 +73,6 @@ def _key(default, parse, flag=None, rule=(lambda value: True, "any")):
 class ExperimentConfig:
     """The config keys, one field each; only ``load_config`` checks their rules."""
 
-    model: str = _key("mlp", str, rule=_one_of("mlp", "linear"))
     hidden: tuple = _key((64, 64), _widths, rule=_at_least(1))
     classes: int = _key(10, int, rule=_at_least(2))
     n_train: int = _key(500, int, rule=_at_least(1))
@@ -95,12 +94,6 @@ class ExperimentConfig:
     seed: int = _key(0, int, "--seed", rule=_at_least(0))
     init_scale: float = _key(0.01, float, rule=_FINITE_NONNEGATIVE)
     out: str = _key("metrics.csv", str, "--out")
-
-    def build_model(self):
-        if self.model == "linear":
-            # one linear regression head per class (no hidden layers)
-            return MLPModel((self.input_dim, self.classes))
-        return MLPModel((self.input_dim, *self.hidden, self.classes))
 
 
 _FIELDS = {field.name: field for field in dataclasses.fields(ExperimentConfig)}
@@ -153,10 +146,10 @@ def build_datasets(cfg):
 
 
 def _grid(cfg):
-    """Yield (cell_index, algorithm, lam, eta); SGD ignores lambda."""
+    """Yield (cell_index, algorithm, lam, eta); sgd and smd ignore lambda."""
     index = 0
     for alg in cfg.algorithms:
-        lams = (None,) if alg == "sgd" else cfg.lambdas
+        lams = (None,) if alg in ("sgd", "smd") else cfg.lambdas
         for lam in lams:
             for eta in cfg.etas:
                 yield index, alg, lam, eta
@@ -176,7 +169,7 @@ def _fmt(value):
 def _cell_rows(cfg, model, potential, train, test, cell):
     """Train one grid cell and return its CSV rows.
 
-    A cell whose weights go non-finite or leave the potential's domain
+    A cell that overflows, goes non-finite or leaves the potential's domain
     yields one row with that stop reason, so the rest of the grid runs.
     """
     index, alg, lam, eta = cell
@@ -185,12 +178,13 @@ def _cell_rows(cfg, model, potential, train, test, cell):
     rng = rng_stream(cfg.seed, 1, index)
     pot = potential if alg in ("smd", "rmd") else SquaredL2()
     try:
-        result = run(model, train, alg, pot, hp, rng,
-                     epochs=cfg.epochs, init_scale=cfg.init_scale,
-                     stop_window=cfg.stop_window, stop_tol=cfg.stop_tol,
-                     test=test)
+        with np.errstate(over="raise", invalid="raise"):
+            result = run(model, train, alg, pot, hp, rng,
+                         epochs=cfg.epochs, init_scale=cfg.init_scale,
+                         stop_window=cfg.stop_window, stop_tol=cfg.stop_tol,
+                         test=test)
         run_rows, stop_reason = result.metrics, result.stop_reason
-    except NonFiniteError:
+    except (NonFiniteError, FloatingPointError):
         run_rows, stop_reason = [], "non-finite"
     except DomainError:
         run_rows, stop_reason = [], "domain-error"
@@ -225,7 +219,7 @@ def run_experiment(cfg, force=False):
     if os.path.exists(cfg.out) and not force:
         raise ConfigError(f"refusing to overwrite {cfg.out!r}; pass --force")
     train, test = build_datasets(cfg)
-    model = cfg.build_model()
+    model = MLPModel((cfg.input_dim, *cfg.hidden, cfg.classes))
     potential = parse_potential(cfg.potential)
     cells = list(_grid(cfg))
 

@@ -7,6 +7,7 @@ package. All randomness flows through generators created by
 
 import contextlib
 import ctypes
+import functools
 
 import numpy as np
 
@@ -24,11 +25,12 @@ _OPENBLAS_SYMBOLS = (
 )
 
 
+@functools.cache
 def openblas_thread_api():
     """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
 
     The library is found among this process's mapped files, so the
-    lookup works only where /proc/self/maps exists (Linux).
+    lookup (about 370 us) works only where /proc/self/maps exists (Linux).
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -54,8 +56,9 @@ def single_blas_thread():
     """Limit OpenBLAS to one thread for the body, then restore its count.
 
     Grid cells are too small for BLAS threads to pay off, and threads
-    from several cell processes oversubscribe the cores. Without a
-    reachable OpenBLAS the body runs with the threading it has.
+    from several cell processes oversubscribe the cores. It decorates the
+    oracles, whose last bits change with how many threads BLAS sums over.
+    Without a reachable OpenBLAS the body runs with the threading it has.
     """
     api = openblas_thread_api()
     if api is None:

@@ -59,26 +59,19 @@ def _loss_and_grad(state, model, ds, indices):
     return model.batch_loss_and_grad(state.w, xs, ds.Y[indices])
 
 
-def sgd_step(state, model, potential, ds, indices, hp):
-    """w <- w - eta * grad L_B(w), with L_B the batch mean loss."""
-    _, g = _loss_and_grad(state, model, ds, indices)
-    state.w -= hp.eta * g
-    state.step += 1
-
-
 def smd_step(state, model, potential, ds, indices, hp):
-    """grad psi(w) <- grad psi(w) - eta * grad L_B(w), then invert."""
+    """grad psi(w) <- grad psi(w) - eta * grad L_B(w), then invert, with L_B
+    the batch mean loss; under squared-l2 it is SGD, w <- w - eta * grad L_B(w)."""
     _, g = _loss_and_grad(state, model, ds, indices)
     potential.step(state.w, g, -hp.eta)
     state.step += 1
 
 
 def wd_step(state, model, potential, ds, indices, hp):
-    """SGD on lambda * sum_i L_i + 1/2 ||w||^2 with the loss term at unit
-    weight: the decay is w / (lambda * n) per sample."""
+    """The mirror step on lambda * sum_i L_i + 1/2 ||w||^2 with the loss term
+    at unit weight: the decay is w / (lambda * n) per sample."""
     _, g = _loss_and_grad(state, model, ds, indices)
-    g = g + state.w / (hp.lam * ds.n)
-    state.w -= hp.eta * g
+    potential.step(state.w, g + state.w / (hp.lam * ds.n), -hp.eta)
     state.step += 1
 
 
@@ -96,7 +89,9 @@ def rmd_minibatch_step(state, model, potential, ds, indices, hp):
 
 # One batch update per algorithm, all with the signature
 # (state, model, potential, ds, indices, hp); run() and the tests call these.
-STEPS = {"sgd": sgd_step, "smd": smd_step, "rmd": rmd_minibatch_step, "wd": wd_step}
+# The potential sets a rule's geometry: sgd is smd's step, and the harness
+# gives sgd and wd cells the squared-l2 potential.
+STEPS = {"sgd": smd_step, "smd": smd_step, "rmd": rmd_minibatch_step, "wd": wd_step}
 
 
 @dataclasses.dataclass

@@ -8,7 +8,8 @@ linearized update, for the entropy and q < 2 (unbounded curvature) it
 keeps w = psi*'(grad psi(a) + X^T nu) exactly. It alone solves both the
 interpolant (a q-norm one at unit scale) and the regularized reference;
 ridge is also solved in closed form. They exist so training runs can be
-checked against solutions computed by a different route.
+checked against solutions computed by a different route. Each public
+solver holds OpenBLAS to one thread, so its answer is the same at any thread count.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import NewtonDivergenceError, SingularMatrixError
 from .potentials import NegativeEntropy, QNorm, SquaredL2
-from .numerics import lapack_solve, solve_linear_system
+from .numerics import lapack_solve, single_blas_thread, solve_linear_system
 
 
 @dataclasses.dataclass
@@ -49,6 +50,7 @@ class RegularizedProblem:
     anchor: np.ndarray = None
 
 
+@single_blas_thread()
 def min_norm_l2(problem):
     """Minimum-l2-norm interpolant w = X^T (X X^T)^{-1} y."""
     x = problem.X
@@ -75,6 +77,9 @@ def _within_rounding(grad_norm, terms):
     return grad_norm <= 1e-6 * max(float(np.max(np.abs(term))) for term in terms)
 
 
+# a point far out (a trial step, or a dual map of huge power at q near 1)
+# overflows to an infinite or NaN residual, which no test accepts
+@np.errstate(over="ignore", invalid="ignore")
 def _kkt_newton(x, y, potential, base, nu, lam=None, tol=_DUAL_TOL):
     """Infeasible-start Newton on the KKT system grad psi(w) = base + X^T nu, X w = y.
 
@@ -148,16 +153,13 @@ def _kkt_newton(x, y, potential, base, nu, lam=None, tol=_DUAL_TOL):
         t = 1.0
         # a step that moves nu by less than its rounding cannot help
         nu_floor, step_size = np.finfo(float).eps * np.abs(nu).max(), np.abs(step).max()
-        # a trial point far out overflows to an infinite or NaN residual,
-        # which the test rejects like any other increase
-        with np.errstate(over="ignore", invalid="ignore"):
-            while t > 1e-16 and t * step_size > nu_floor:
-                trial = point(None if exact_map else w + t * w_step, nu + t * step)
-                if trial[-1] < norm:
-                    break
-                t *= 0.5
-            else:
-                break  # stalled: no step that moves nu lowers the residual
+        while t > 1e-16 and t * step_size > nu_floor:
+            trial = point(None if exact_map else w + t * w_step, nu + t * step)
+            if trial[-1] < norm:
+                break
+            t *= 0.5
+        else:
+            break  # stalled: no step that moves nu lowers the residual
         w, nu, dual, v, r_d, r_p, norm = trial
     if lam is None:
         # r_d = grad psi(w) - base - X^T nu, which the exact map makes 0
@@ -171,6 +173,7 @@ def _kkt_newton(x, y, potential, base, nu, lam=None, tol=_DUAL_TOL):
     raise NewtonDivergenceError(f"KKT Newton stalled at residual {norm:.3e}")
 
 
+@single_blas_thread()
 def min_potential_dual(problem, potential, anchor=None):
     """Interpolant minimizing psi(w) (or the divergence from ``anchor``).
 
@@ -210,6 +213,7 @@ def min_potential_dual(problem, potential, anchor=None):
     return w
 
 
+@single_blas_thread()
 def ridge_closed_form(rp):
     """Minimizer of lam/2 ||y - X w||^2 + 1/2 ||w - a||^2.
 
@@ -241,6 +245,7 @@ def regularized_objective(rp, w):
     return data_term + rp.potential.bregman(w, rp.anchor)
 
 
+@single_blas_thread()
 def regularized_reference(rp):
     """High-precision minimizer of the regularized batch objective.
 

@@ -336,7 +336,7 @@ def test_c10_stop_reasons(acceptance_record):
 def test_c11_deterministic_metrics(acceptance_record, tmp_path):
     """Criterion 11: identical config + seed give a byte-identical CSV."""
     cfg_path = tmp_path / "tiny.cfg"
-    cfg_path.write_text("model = linear\nclasses = 3\nn_train = 30\nn_test = 20\n"
+    cfg_path.write_text("hidden =\nclasses = 3\nn_train = 30\nn_test = 20\n"
                         "input_dim = 40\ncorruption = 0.1\nalgorithms = sgd,rmd\n"
                         "lambdas = 1.0\netas = 0.01\nepochs = 30\n"
                         "stop_window = 10\nbatch_size = 4\nseed = 3\n")

@@ -7,7 +7,7 @@ from regmirror import cli, harness, optimizer
 from regmirror.cli import main
 
 CONFIG = """
-model = linear
+hidden =
 classes = 2
 n_train = 20
 n_test = 10
@@ -101,6 +101,15 @@ def test_oracle_entropy_dual_without_positive_interpolant_is_one_error_line(caps
     assert captured.out == ""
 
 
+# the dual map's power 1 / (q - 1) = 10,000 overflows, and the Newton stalls
+@pytest.mark.filterwarnings("error")
+def test_oracle_dual_q_near_one_is_one_error_line(capsys):
+    assert main(["oracle", "--kind", "dual", "--potential", "q:1.0001"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: KKT Newton stalled at residual nan"]
+    assert captured.out == ""
+
+
 # a primal Newton over the null space of X stalled on these at gradients of
 # 9.5e-16 to 2.1e-15
 @pytest.mark.filterwarnings("error")
@@ -189,8 +198,9 @@ BAD_VALUES = [
     ("lambdas", "lambdas = -1"),
     ("n_train", "n_train = 0"),
     ("classes", "classes = 0"),
-    ("hidden", "model = mlp\nhidden = 0"),
-    ("hidden", "model = linear\nhidden = 64,0"),  # every width, whatever the model
+    ("hidden", "hidden = 0"),
+    ("hidden", "hidden = 64,0"),  # every width
+    ("model", "model = linear"),  # an empty hidden is the linear model
     ("potential", "potential = q:1"),
     ("potential", "potential = foo"),
     ("epochs", "epochs = 0"),

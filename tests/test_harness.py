@@ -15,8 +15,8 @@ from regmirror.harness import (CSV_HEADER, ExperimentConfig, load_config,
 from regmirror.numerics import openblas_thread_api
 
 TINY = """
-# a tiny, fast grid for harness tests
-model = linear
+# a tiny, fast grid for harness tests (linear: no hidden layers)
+hidden =
 classes = 3
 n_train = 30
 n_test = 20
@@ -48,7 +48,7 @@ def write_config(tmp_path, text=TINY, **extra):
 class TestConfig:
     def test_defaults_and_parsing(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        assert cfg.model == "linear"
+        assert cfg.hidden == ()
         assert cfg.lambdas == (0.5, 2.0)
         assert cfg.algorithms == ("sgd", "rmd")
         assert cfg.stop_tol == 1e-4  # untouched default
@@ -60,7 +60,7 @@ class TestConfig:
 
     def test_unknown_key_reports_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("model = linear\nwat = 1\n")
+        path.write_text("hidden =\nwat = 1\n")
         with pytest.raises(ConfigError, match="bad.cfg:2"):
             load_config(path)
 
@@ -122,10 +122,10 @@ class TestRunExperiment:
         lines = out.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         finals = [line for line in lines[1:] if line.split(",")[11]]
-        # sgd runs once, smd and rmd once per lambda
-        assert len(finals) == 5
+        # sgd and smd ignore lambda and run once, rmd once per lambda
+        assert len(finals) == 4
         ids = {line.split(",")[0] for line in lines[1:]}
-        assert ids == {"sgd-lamna-eta0.01", "smd-lam0.5-eta0.01", "smd-lam2-eta0.01",
+        assert ids == {"sgd-lamna-eta0.01", "smd-lamna-eta0.01",
                        "rmd-lam0.5-eta0.01", "rmd-lam2-eta0.01"}
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -190,6 +190,16 @@ class TestRunExperiment:
             l2_distance = 0.5 * float(np.sum((result.state.w - result.w_init) ** 2))
             assert float(row[10]) == pytest.approx(l2_distance, rel=1e-9)
 
+    def test_overflowing_cell_recorded_as_non_finite(self, tmp_path):
+        # eta 1 overflows the loss and the backward pass before the weights go
+        # non-finite; the cell gets its one row, and no numpy warning escapes
+        out = tmp_path / "metrics.csv"
+        run_experiment(load_config(write_config(tmp_path, "n_train = 100\nn_test = 50\n",
+                                                out=str(out), algorithms="sgd", etas="1.0",
+                                                epochs="40")))
+        assert out.read_text().splitlines()[1:] == [
+            "sgd-lamna-eta1,sgd,na,1,0,0,NA,NA,NA,NA,NA,non-finite"]
+
     def test_test_accuracy_na_without_test_set(self, tmp_path):
         out = tmp_path / "metrics.csv"
         cfg = load_config(write_config(tmp_path, out=str(out), n_test="0"))
@@ -199,7 +209,7 @@ class TestRunExperiment:
 
 
 # the criterion-11 config, and the criterion-9 grid cut to 3 epochs on small data
-CRITERION_11 = ("model = linear\nclasses = 3\nn_train = 30\nn_test = 20\n"
+CRITERION_11 = ("hidden =\nclasses = 3\nn_train = 30\nn_test = 20\n"
                 "input_dim = 40\ncorruption = 0.1\nalgorithms = sgd,rmd\n"
                 "lambdas = 1.0\netas = 0.01\nepochs = 30\n"
                 "stop_window = 10\nbatch_size = 4\nseed = 3\n")
@@ -298,6 +308,19 @@ class TestParallelCells:
             pid, position = line.split()
             ran.setdefault(int(pid), []).append(int(position))
         assert sorted(ran.values()) == [[0], list(range(1, count))]
+
+    def test_claim_blocks_return_every_cell_once_in_order(self, tmp_path):
+        # above _MAX_CLAIMS cells each claim is a block of positions
+        assert harness._run_cells(lambda p: 2 * p, 3000, 2) == [2 * p for p in range(3000)]
+        log = tmp_path / "runs.log"
+
+        def logged(position):
+            with open(log, "a") as fh:  # one short O_APPEND write per line
+                fh.write(f"{position}\n")
+            return position
+
+        assert harness._run_cells(logged, 1025, 3) == list(range(1025))
+        assert sorted(map(int, log.read_text().split())) == list(range(1025))
 
     def test_helper_exception_reaches_caller(self, tmp_path, monkeypatch):
         parent, real_run = os.getpid(), harness.run

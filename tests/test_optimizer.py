@@ -8,7 +8,7 @@ from regmirror.errors import DomainError, EmptyBatchError
 from regmirror.models import LinearModel, MLPModel, square_losses
 from regmirror.numerics import rng_stream
 from regmirror.optimizer import (STEPS, HyperParams, OptimizerState, _window_converged,
-                                 rmd_minibatch_step, run, sgd_step, smd_step, wd_step)
+                                 rmd_minibatch_step, run, smd_step, wd_step)
 from regmirror.potentials import NegativeEntropy, QNorm, SquaredL2
 
 
@@ -21,42 +21,45 @@ def fresh_state(w, n):
 
 
 class TestSgdStep:
+    # sgd is the mirror step under the squared-l2 potential the harness gives it
     def test_single_step(self):
         ds = regression_dataset([[1.0, 0.0]], [1.0])
         state = fresh_state([0.0, 0.0], 1)
-        sgd_step(state, LinearModel(2), None, ds, [0], HyperParams(eta=0.1))
+        STEPS["sgd"](state, LinearModel(2), SquaredL2(), ds, [0], HyperParams(eta=0.1))
         assert np.allclose(state.w, [0.1, 0.0])
         assert state.step == 1
 
     def test_interpolating_point_is_fixed(self):
         ds = regression_dataset([[2.0, 1.0]], [5.0])
         state = fresh_state([2.0, 1.0], 1)
-        sgd_step(state, LinearModel(2), None, ds, [0], HyperParams(eta=0.1))
+        STEPS["sgd"](state, LinearModel(2), SquaredL2(), ds, [0], HyperParams(eta=0.1))
         assert np.array_equal(state.w, [2.0, 1.0])
 
     def test_orthogonal_samples_commute(self):
         ds = regression_dataset([[1.0, 0.0], [0.0, 1.0]], [3.0, -2.0])
         hp = HyperParams(eta=0.05)
         a = fresh_state([0.2, -0.4], 2)
-        sgd_step(a, LinearModel(2), None, ds, [0], hp)
-        sgd_step(a, LinearModel(2), None, ds, [1], hp)
+        STEPS["sgd"](a, LinearModel(2), SquaredL2(), ds, [0], hp)
+        STEPS["sgd"](a, LinearModel(2), SquaredL2(), ds, [1], hp)
         b = fresh_state([0.2, -0.4], 2)
-        sgd_step(b, LinearModel(2), None, ds, [1], hp)
-        sgd_step(b, LinearModel(2), None, ds, [0], hp)
+        STEPS["sgd"](b, LinearModel(2), SquaredL2(), ds, [1], hp)
+        STEPS["sgd"](b, LinearModel(2), SquaredL2(), ds, [0], hp)
         assert np.allclose(a.w, b.w, rtol=0, atol=1e-15)
 
 
 class TestSmdStep:
     def test_l2_equals_sgd(self):
+        # the l2 mirror step w + (-eta) g is w - eta g to the bit
         rng = rng_stream(4)
         ds = regression_dataset(rng.standard_normal((3, 5)), rng.standard_normal(3))
         hp = HyperParams(eta=0.02)
-        w0 = rng.standard_normal(5)
-        a, b = fresh_state(w0, 3), fresh_state(w0, 3)
+        model = LinearModel(5)
+        w = rng.standard_normal(5)
+        state = fresh_state(w, 3)
         for i in (0, 2, 1, 0):
-            sgd_step(a, LinearModel(5), None, ds, [i], hp)
-            smd_step(b, LinearModel(5), SquaredL2(), ds, [i], hp)
-        assert np.array_equal(a.w, b.w)
+            w = w - hp.eta * model.batch_loss_and_grad(w, ds.X[[i]], ds.Y[[i]])[1]
+            smd_step(state, model, SquaredL2(), ds, [i], hp)
+        assert np.array_equal(state.w, w)
 
     def test_qnorm_hand_update(self):
         # w=[1], grad psi(w)=[1]; eta*gradL=[0.5] -> dual 0.5 -> w=sqrt(0.5)
@@ -81,7 +84,7 @@ class TestWdStep:
         # eta = 0.5 -> w = [0.6875, 1.75] (every value exact in binary)
         ds = regression_dataset([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
         state = fresh_state([0.5, 2.0], 2)
-        wd_step(state, LinearModel(2), None, ds, [0], HyperParams(eta=0.5, lam=2.0))
+        wd_step(state, LinearModel(2), SquaredL2(), ds, [0], HyperParams(eta=0.5, lam=2.0))
         assert np.array_equal(state.w, [0.6875, 1.75])
         assert np.array_equal(state.z, [0.0, 0.0])
         assert state.step == 1

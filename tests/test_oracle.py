@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -445,3 +450,43 @@ class TestRegularizedReference:
         for _ in range(20):
             other = rng.standard_normal(10)
             assert regularized_objective(rp, w) <= regularized_objective(rp, other) + 1e-6
+
+
+# answers that differed in their last bits at 1 and 2 OpenBLAS threads while
+# the solvers ran with the process's thread count: the q:3 and linf
+# references and the linf interpolant, plus the min-norm and ridge solves
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from regmirror.oracle import (InterpolationProblem, RegularizedProblem, min_norm_l2,
+                              min_potential_dual, regularized_reference, ridge_closed_form)
+from regmirror.potentials import parse_potential
+
+def problem(seed, n, p):
+    rng = np.random.default_rng([seed, n, p])
+    return InterpolationProblem(rng.standard_normal((n, p)), rng.standard_normal(n))
+
+def reference(seed, n, p, potential):
+    return RegularizedProblem(problem(seed, n, p), 1.0, parse_potential(potential))
+
+digest = hashlib.sha256()
+for w in (regularized_reference(reference(0, 60, 200, "q:3")),
+          min_potential_dual(problem(1, 60, 200), parse_potential("linf")),
+          regularized_reference(reference(2, 20, 100, "linf")),
+          min_norm_l2(problem(3, 60, 200)),
+          ridge_closed_form(reference(4, 60, 200, "l2"))):
+    digest.update(w.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_answers_independent_of_blas_threads():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout)
+    assert digests[0] == digests[1]
