@@ -78,7 +78,7 @@ def _within_rounding(grad_norm, terms):
 
 
 # a point far out (a trial step, or a dual map of huge power at q near 1)
-# overflows to an infinite or NaN residual, which no test accepts
+# overflows to an infinite or NaN residual, which no line-search or stop test accepts
 @np.errstate(over="ignore", invalid="ignore")
 def _kkt_newton(x, y, potential, base, nu, lam=None, tol=_DUAL_TOL):
     """Infeasible-start Newton on the KKT system grad psi(w) = base + X^T nu, X w = y.
