@@ -110,7 +110,7 @@ def main(argv=None):
     try:
         {"run": _cmd_run, "summarize": _cmd_summarize,
          "oracle": _cmd_oracle}[args.command](args)
-    except RegmirrorError as exc:
+    except (RegmirrorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

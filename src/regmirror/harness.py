@@ -218,6 +218,8 @@ def run_experiment(cfg, force=False):
     """
     if os.path.exists(cfg.out) and not force:
         raise ConfigError(f"refusing to overwrite {cfg.out!r}; pass --force")
+    if not os.path.isdir(os.path.dirname(cfg.out) or "."):
+        raise ConfigError(f"the directory of {cfg.out!r} does not exist")
     train, test = build_datasets(cfg)
     model = MLPModel((cfg.input_dim, *cfg.hidden, cfg.classes))
     potential = parse_potential(cfg.potential)
@@ -356,68 +358,39 @@ def _reap(helpers):
     return results
 
 
-def _parse_metrics(path):
+def summarize(path, out=None):
+    """Final-epoch accuracy per (algorithm, lambda), one CSV row each.
+
+    A run's final row is the one that carries its stop reason. When a
+    cell was swept over several learning rates or seeds, the best final
+    test accuracy is reported (matching how sweep results are quoted);
+    ties fall back to train accuracy.
+    """
+    best = {}  # (algorithm, lambda) -> (sort key, rank, summary fields)
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise ConfigError(f"{path}: unexpected header {header!r}")
-        parsed = []
         for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
+            fields = raw.rstrip("\n").split(",")
+            if fields == [""]:
                 continue
-            fields = line.split(",")
             if len(fields) != 12:
                 raise ConfigError(f"{path}:{lineno}: expected 12 fields, got {len(fields)}")
+            _, alg, lam, eta, _, epoch, _, train_acc, test_acc, _, _, stop_reason = fields
+            if not stop_reason:
+                continue
             try:
-                parsed.append({
-                    "experiment_id": fields[0],
-                    "algorithm": fields[1],
-                    "lambda": fields[2],
-                    "eta": fields[3],
-                    "seed": int(fields[4]),
-                    "epoch": int(fields[5]),
-                    "train_accuracy": fields[7],
-                    "test_accuracy": fields[8],
-                })
+                sort_key = (alg, float("inf") if lam == "na" else float(lam))
+                rank = tuple(float("-inf") if v == "NA" else float(v)
+                             for v in (test_acc, train_acc))
+                summary = [alg, lam, eta, str(int(epoch)), train_acc, test_acc]
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: malformed row ({exc})") from exc
-    return parsed
-
-
-def summarize(path, out=None):
-    """Final-epoch accuracy per (algorithm, lambda), one CSV row each.
-
-    When a cell was swept over several learning rates or seeds, the
-    best final test accuracy is reported (matching how sweep results
-    are quoted); ties fall back to train accuracy.
-    """
-    finals = {}
-    for row in _parse_metrics(path):
-        key = (row["experiment_id"], row["seed"])
-        if key not in finals or row["epoch"] > finals[key]["epoch"]:
-            finals[key] = row
-
-    def metric(row, name):
-        return float("-inf") if row[name] == "NA" else float(row[name])
-
-    best = {}
-    for row in finals.values():
-        key = (row["algorithm"], row["lambda"])
-        rank = (metric(row, "test_accuracy"), metric(row, "train_accuracy"))
-        if key not in best or rank > best[key][0]:
-            best[key] = (rank, row)
-
-    def sort_key(item):
-        alg, lam = item
-        return (alg, float("inf") if lam == "na" else float(lam))
-
+            if (alg, lam) not in best or rank > best[alg, lam][1]:
+                best[alg, lam] = (sort_key, rank, summary)
     lines = ["algorithm,lambda,eta,epoch,train_accuracy,test_accuracy"]
-    for key in sorted(best, key=sort_key):
-        row = best[key][1]
-        lines.append(",".join([row["algorithm"], row["lambda"], row["eta"],
-                               str(row["epoch"]), row["train_accuracy"],
-                               row["test_accuracy"]]))
+    lines += [",".join(summary) for _, _, summary in sorted(best.values(), key=lambda v: v[0])]
     text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w", newline="\n") as fh:

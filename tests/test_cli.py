@@ -65,6 +65,30 @@ def test_run_records_domain_error_and_exits_zero(tmp_path, monkeypatch):
     assert len(rows) == 1 and rows[0].endswith(",domain-error")
 
 
+@pytest.mark.parametrize("command", ["run", "summarize"])
+def test_missing_input_file_is_one_error_line(tmp_path, capsys, command):
+    missing = tmp_path / "missing.file"
+    assert main([command, str(missing)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
+    assert captured.out == ""
+
+
+def test_run_refuses_out_in_missing_directory_before_training(tmp_path, capsys, monkeypatch):
+    def no_training(*args):
+        raise AssertionError("a cell trained")
+
+    monkeypatch.setattr(harness, "_cell_rows", no_training)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "absent" / "metrics.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+    assert not out.parent.exists()
+
+
 def test_oracle_subcommand(capsys):
     assert main(["oracle", "--kind", "minnorm", "--n", "3", "--p", "9",
                  "--seed", "2"]) == 0

@@ -402,9 +402,11 @@ class TestSummarize:
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "broken.csv"
-        path.write_text(CSV_HEADER + "\nonly,three,fields\n")
-        with pytest.raises(ConfigError, match="broken.csv:2"):
-            summarize(path)
+        for row in ("only,three,fields",
+                    "sgd-lamna-eta0.1,sgd,na,0.1,0,1,0.5,abc,50,NA,0.1,budget"):
+            path.write_text(CSV_HEADER + "\n" + row + "\n")
+            with pytest.raises(ConfigError, match="broken.csv:2"):
+                summarize(path)
 
     def test_single_run_single_row(self, tmp_path):
         out = tmp_path / "metrics.csv"

@@ -27,7 +27,6 @@ class TestSgdStep:
         state = fresh_state([0.0, 0.0], 1)
         STEPS["sgd"](state, LinearModel(2), SquaredL2(), ds, [0], HyperParams(eta=0.1))
         assert np.allclose(state.w, [0.1, 0.0])
-        assert state.step == 1
 
     def test_interpolating_point_is_fixed(self):
         ds = regression_dataset([[2.0, 1.0]], [5.0])
@@ -87,7 +86,6 @@ class TestWdStep:
         wd_step(state, LinearModel(2), SquaredL2(), ds, [0], HyperParams(eta=0.5, lam=2.0))
         assert np.array_equal(state.w, [0.6875, 1.75])
         assert np.array_equal(state.z, [0.0, 0.0])
-        assert state.step == 1
 
 
 class TestRmdStep:
@@ -223,14 +221,24 @@ class TestRun:
         assert np.max(np.abs(ds.X @ result.state.w - ds.Y)) < 1e-6
 
     def test_smd_l2_trajectory_bit_identical_to_sgd(self):
+        # run() against plain w <- w - eta g over the same permutation stream;
+        # batch 2 of 5 samples leaves a ragged last batch
         rng = rng_stream(22)
         ds = regression_dataset(rng.standard_normal((5, 12)), rng.standard_normal(5))
-        kwargs = dict(epochs=3, w0=0.01 * np.arange(12), stop_window=10)
-        a = run(LinearModel(12), ds, "sgd", SquaredL2(), HyperParams(eta=0.01),
-                rng_stream(7), **kwargs)
-        b = run(LinearModel(12), ds, "smd", SquaredL2(), HyperParams(eta=0.01),
-                rng_stream(7), **kwargs)
-        assert np.array_equal(a.state.w, b.state.w)
+        model, hp, epochs = LinearModel(12), HyperParams(eta=0.01, batch_size=2), 3
+        w0 = 0.01 * np.arange(12)
+        w, perms = w0, rng_stream(7)
+        for _ in range(epochs):
+            order = perms.permutation(ds.n)
+            for start in range(0, ds.n, hp.batch_size):
+                batch = order[start:start + hp.batch_size]
+                w = w - hp.eta * model.batch_loss_and_grad(w, ds.X[batch], ds.Y[batch])[1]
+        assert not np.array_equal(w, w0)
+        for algorithm in ("sgd", "smd"):
+            result = run(model, ds, algorithm, SquaredL2(), hp, rng_stream(7),
+                         epochs=epochs, w0=w0)
+            assert len(result.metrics) == epochs
+            assert np.array_equal(result.state.w, w), algorithm
 
     def test_smd_l2_iterates_stay_in_rowspace(self):
         rng = rng_stream(23)
@@ -281,15 +289,23 @@ class TestRun:
         assert _window_converged(history, 2, 1e-4) is stop
 
     @pytest.mark.parametrize("algorithm", ["sgd", "smd", "rmd", "wd"])
-    def test_state_step_counts_every_update(self, algorithm):
+    def test_state_step_counts_every_update(self, algorithm, monkeypatch):
+        calls = []
+        rule = STEPS[algorithm]
+
+        def counted(*args):
+            calls.append(args[4])  # the batch's indices
+            rule(*args)
+
+        monkeypatch.setitem(STEPS, algorithm, counted)
         rng = rng_stream(32)
         n, batch_size, epochs = 8, 3, 2
         ds = regression_dataset(rng.standard_normal((n, 10)), rng.standard_normal(n))
         result = run(LinearModel(10), ds, algorithm, SquaredL2(),
                      HyperParams(eta=1e-3, lam=1.0, batch_size=batch_size),
                      rng_stream(8), epochs=epochs, w0=np.zeros(10))
-        assert result.state.epoch == epochs
-        assert result.state.step == epochs * math.ceil(n / batch_size)
+        assert len(result.metrics) == epochs
+        assert len(calls) == epochs * math.ceil(n / batch_size)
 
     def test_budget_stop(self):
         rng = rng_stream(28)
@@ -366,7 +382,6 @@ class TestRunMatchesIndexArrayLoop:
         assert len(result.metrics) == epochs
         assert np.array_equal(result.state.w, state.w)
         assert np.array_equal(result.state.z, state.z)
-        assert result.state.step == state.step
         if algorithm == "rmd":
             assert np.any(state.z != 0.0)
         for got, want in zip(result.metrics, rows):
