@@ -11,7 +11,11 @@ Timings come from the repository's benchmark, ``python3 perfbench/run.py``
 
 import argparse
 import dataclasses
+import os
 import sys
+
+# before numpy loads OpenBLAS: one thread starts no worker to spin idle after each BLAS call
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -62,7 +62,7 @@ _FINITE_NONNEGATIVE = (lambda value: 0.0 <= value < np.inf, "finite and at least
 _FINITE_POSITIVE = (lambda value: 0.0 < value < np.inf, "finite and positive")
 
 
-def _key(default, parse, flag=None, rule=(lambda value: True, "any")):
+def _key(default, parse, flag=None, *, rule):
     """A config key: its default, the parser of its text, its ``regmirror run`` flag, and its
     rule: a test each parsed value (each item, for a tuple) must pass, and what passes."""
     return dataclasses.field(default=default, metadata={
@@ -93,7 +93,7 @@ class ExperimentConfig:
     stop_tol: float = _key(1e-4, float, "--stop-tol", rule=_FINITE_NONNEGATIVE)
     seed: int = _key(0, int, "--seed", rule=_at_least(0))
     init_scale: float = _key(0.01, float, rule=_FINITE_NONNEGATIVE)
-    out: str = _key("metrics.csv", str, "--out")
+    out: str = _key("metrics.csv", str, "--out", rule=(lambda text: text != "", "a non-empty path"))
 
 
 _FIELDS = {field.name: field for field in dataclasses.fields(ExperimentConfig)}
@@ -216,6 +216,8 @@ def run_experiment(cfg, force=False):
     The file is written only once every cell has run, through a
     temporary file renamed into place.
     """
+    if os.path.isdir(cfg.out):
+        raise ConfigError(f"{cfg.out!r} is a directory")
     if os.path.exists(cfg.out) and not force:
         raise ConfigError(f"refusing to overwrite {cfg.out!r}; pass --force")
     if not os.path.isdir(os.path.dirname(cfg.out) or "."):

@@ -1,10 +1,15 @@
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from regmirror import cli, harness, optimizer
 from regmirror.cli import main
+from regmirror.numerics import openblas_thread_api
 
 CONFIG = """
 hidden =
@@ -87,6 +92,53 @@ def test_run_refuses_out_in_missing_directory_before_training(tmp_path, capsys, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("out, force", [("dir", False), ("dir", True), ("", False)],
+                         ids=["directory", "directory-force", "empty"])
+def test_run_refuses_unusable_out_before_training(tmp_path, capsys, monkeypatch, out, force):
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda *args, **kwargs: calls.append(args))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG)
+    if out:
+        out = tmp_path / out
+        out.mkdir()
+    assert main(["run", str(cfg), "--out", str(out)] + ["--force"] * force) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and repr(str(out)) in err[0]
+    assert calls == []
+
+
+_BLAS_THREADS_SCRIPT = """
+import regmirror.cli
+from regmirror.numerics import openblas_thread_api
+print(openblas_thread_api()[0]())
+"""
+
+
+def test_cli_starts_openblas_at_one_thread_unless_set(tmp_path):
+    if openblas_thread_api() is None:
+        pytest.skip("no OpenBLAS thread API reachable")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG.replace("hidden =", "hidden = 8,8"))
+    base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    threads, csvs = [], []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        env = dict(base, PYTHONPATH=str(src), **extra)
+        out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        threads.append(out.stdout.strip())
+        csv = tmp_path / f"threads{len(csvs)}.csv"
+        out = subprocess.run([sys.executable, "-m", "regmirror.cli", "run", str(cfg),
+                              "--out", str(csv)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        csvs.append(csv.read_bytes())
+    assert threads == ["1", "2"]
+    assert csvs[0] == csvs[1] and csvs[0].count(b"\n") > 1
 
 
 def test_oracle_subcommand(capsys):
