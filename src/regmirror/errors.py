@@ -35,4 +35,5 @@ class ConfigError(RegmirrorError):
 
 
 class WorkerError(RegmirrorError):
-    """A grid helper process failed without returning its cells."""
+    """A grid helper process exited without returning its cells, or raised an
+    exception that cannot be rebuilt in the calling process."""

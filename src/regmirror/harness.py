@@ -31,6 +31,8 @@ from .potentials import SquaredL2, parse_potential
 CSV_HEADER = ("experiment_id,algorithm,lambda,eta,seed,epoch,train_loss,"
               "train_accuracy,test_accuracy,constraint_residual,"
               "bregman_from_init,stop_reason")
+_METRICS = CSV_HEADER.split(",")[5:-1]  # the keys of run()'s rows, epoch first
+_FAILED_ROW = {**dict.fromkeys(_METRICS, float("nan")), "epoch": 0}  # a failed cell's one row
 
 
 def _widths(text):
@@ -38,11 +40,19 @@ def _widths(text):
 
 
 def _reals(text):
-    return tuple(float(v) for v in text.split(","))  # rejects empty items
+    return _distinct(tuple(float(v) for v in text.split(",")), _fmt)  # rejects empty items
 
 
 def _names(text):
-    return tuple(v.strip() for v in text.split(","))  # keeps empty items
+    return _distinct(tuple(v.strip() for v in text.split(",")), str)  # keeps empty items
+
+
+def _distinct(items, id_text):
+    """``items``, refused when two give the same ``experiment_id`` text."""
+    texts = [id_text(item) for item in items]
+    if len(set(texts)) < len(texts):
+        raise ValueError(f"{max(texts, key=texts.count)!r} repeats")
+    return items
 
 
 def _potential(text):
@@ -185,20 +195,15 @@ def _cell_rows(cfg, model, potential, train, test, cell):
                          test=test)
         run_rows, stop_reason = result.metrics, result.stop_reason
     except (NonFiniteError, FloatingPointError):
-        run_rows, stop_reason = [], "non-finite"
+        run_rows, stop_reason = [_FAILED_ROW], "non-finite"
     except DomainError:
-        run_rows, stop_reason = [], "domain-error"
+        run_rows, stop_reason = [_FAILED_ROW], "domain-error"
     prefix = [f"{alg}-lam{_fmt(lam)}-eta{_fmt(eta)}", alg, _fmt(lam), _fmt(eta),
               str(cfg.seed)]
-    if not run_rows:
-        return [",".join(prefix + ["0", "NA", "NA", "NA", "NA", "NA", stop_reason])]
     last = len(run_rows) - 1
-    return [",".join(prefix + [
-        str(m["epoch"]), _fmt(m["train_loss"]),
-        _fmt(m["train_accuracy"]), _fmt(m["test_accuracy"]),
-        _fmt(m["constraint_residual"]), _fmt(m["bregman_from_init"]),
-        stop_reason if pos == last else "",
-    ]) for pos, m in enumerate(run_rows)]
+    return [",".join(prefix + [_fmt(m[key]) for key in _METRICS]
+                     + [stop_reason if pos == last else ""])
+            for pos, m in enumerate(run_rows)]
 
 
 def _default_jobs():
@@ -259,19 +264,18 @@ _CLAIM = struct.Struct("<I")
 def _run_cells(run_cell, count, jobs):
     """[run_cell(p) for p in range(count)], spread over up to ``jobs`` processes.
 
-    The calling process runs cells itself; ``jobs - 1`` forked helpers
-    inherit the data and model and run cells alongside it. Every process
-    claims the next block of positions from a shared pipe when it goes
-    idle, because cells differ widely in length. Helpers send their
-    results back pickled over a pipe of their own; an exception in any
-    process reaches the caller after every helper has been reaped.
+    The calling process runs cells itself, whatever ``jobs`` is;
+    ``jobs - 1`` forked helpers (none without ``os.fork``) inherit the
+    data and model and run cells alongside it. Every process claims the
+    next block of positions from a shared pipe when it goes idle,
+    because cells differ widely in length. Helpers send their results
+    back pickled over a pipe of their own; an exception in any process
+    reaches the caller after every helper has been reaped.
 
     Forking is safe although OpenBLAS may hold idle threads: it shuts
     its thread pool down around fork() through pthread_atfork.
     """
     jobs = min(jobs, count) if hasattr(os, "fork") else 1
-    if jobs <= 1:
-        return [run_cell(position) for position in range(count)]
     block = -(-count // _MAX_CLAIMS)
     queue_r, queue_w = os.pipe()
     os.write(queue_w, b"".join(_CLAIM.pack(start) for start in range(0, count, block)))
@@ -289,7 +293,6 @@ def _run_cells(run_cell, count, jobs):
     except BaseException:
         import signal  # imported here, off the start-up path of every run
 
-        _drain(queue_r)
         for pid, _ in helpers:
             os.kill(pid, signal.SIGKILL)
         _reap(helpers)
@@ -312,21 +315,20 @@ def _run_cells(run_cell, count, jobs):
 
 
 def _claim_cells(run_cell, count, block, queue_r):
+    """Run claimed blocks until the queue is empty; {position: result}. On an
+    exception, empty the queue first, so the other processes stop claiming."""
     done = {}
-    while True:
+    try:
         # reads get whole claims: the queue is written in full before any read
-        claim = os.read(queue_r, _CLAIM.size)
-        if not claim:
-            return done
-        start, = _CLAIM.unpack(claim)
-        for position in range(start, min(start + block, count)):
-            done[position] = run_cell(position)
-
-
-def _drain(queue_r):
-    """Take every unclaimed cell off the queue so the other processes stop."""
-    while os.read(queue_r, 4096):
-        pass
+        while claim := os.read(queue_r, _CLAIM.size):
+            start, = _CLAIM.unpack(claim)
+            for position in range(start, min(start + block, count)):
+                done[position] = run_cell(position)
+    except BaseException:
+        while os.read(queue_r, 4096):
+            pass
+        raise
+    return done
 
 
 def _helper_main(run_cell, count, block, queue_r, result_w):
@@ -337,7 +339,6 @@ def _helper_main(run_cell, count, block, queue_r, result_w):
         except BaseException as exc:
             import traceback  # imported here, off the start-up path of every run
 
-            _drain(queue_r)
             payload = ("error", exc, traceback.format_exc())
             try:
                 pickle.loads(pickle.dumps(exc))  # the parent must be able to rebuild it

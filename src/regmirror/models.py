@@ -37,9 +37,6 @@ class LinearModel:
         self.d = int(d)
         self.n_params = self.d
 
-    def init_weights(self, rng, scale=0.01):
-        return scale * rng.standard_normal(self.n_params)
-
     def predict_buffers(self, rows):
         """Output buffer for ``batch_predict`` on up to ``rows`` rows."""
         return [np.empty(rows)]
@@ -70,9 +67,6 @@ class MLPModel:
         self._shapes = [(widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
         self.n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in self._shapes)
         self._split = (None, None)  # the last weight vector and its layer views
-
-    def init_weights(self, rng, scale=0.01):
-        return scale * rng.standard_normal(self.n_params)
 
     def _layers(self, w):
         """(matrix, bias) views into ``w`` per layer, split once per weight vector."""

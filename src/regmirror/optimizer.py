@@ -139,7 +139,7 @@ def run(model, train, algorithm, potential, hp, rng, *, epochs,
     if w0 is not None:
         w = np.array(w0, dtype=float)
     else:
-        w = model.init_weights(rng, init_scale)
+        w = init_scale * rng.standard_normal(model.n_params)
         w += potential.grad_inverse(np.zeros_like(w))  # argmin psi
     potential.check_domain(w)
     z = np.zeros(train.n)

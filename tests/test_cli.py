@@ -293,6 +293,9 @@ BAD_VALUES = [
     ("init_scale", "init_scale = -1"),  # a standard deviation below 0
     ("seed", "seed = -1"),  # numpy refuses a negative seed
     ("algorithms", "algorithms = sgd,,rmd"),
+    ("algorithms", "algorithms = sgd,rmd,sgd"),  # two cells would share an experiment_id
+    ("lambdas", "lambdas = 1.0,1"),  # likewise: both read lam1
+    ("etas", "etas = 0.1,0.10"),  # likewise: both read eta0.1
     ("potential", ["--potential", "foo"]),
     ("--seed", ["--seed", "-1"]),
     ("--lambda", ["--kind", "ridge", "--lambda", "inf"]),

@@ -3,12 +3,13 @@ import dataclasses
 import os
 import re
 import select
+import signal
 import time
 
 import numpy as np
 import pytest
 
-from regmirror import harness, optimizer
+from regmirror import cli, harness, optimizer
 from regmirror.errors import ConfigError
 from regmirror.harness import (CSV_HEADER, ExperimentConfig, load_config,
                                run_experiment, summarize)
@@ -321,7 +322,8 @@ class TestParallelCells:
 
     def test_claim_blocks_return_every_cell_once_in_order(self, tmp_path):
         # above _MAX_CLAIMS cells each claim is a block of positions
-        assert harness._run_cells(lambda p: 2 * p, 3000, 2) == [2 * p for p in range(3000)]
+        for jobs in (1, 2):
+            assert harness._run_cells(lambda p: 2 * p, 3000, jobs) == [2 * p for p in range(3000)]
         log = tmp_path / "runs.log"
 
         def logged(position):
@@ -358,7 +360,42 @@ class TestParallelCells:
         assert _live_children() == before
         assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]  # no CSV, no temp file
 
-    def test_parent_exception_stops_helpers(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fail", ["sigkill", "local-exception"])
+    def test_helper_failure_is_one_error_line(self, tmp_path, monkeypatch, capsys, fail):
+        parent, real_run = os.getpid(), harness.run
+        started_r, started_w = os.pipe()
+
+        class Inner(Exception):
+            """Local to this test, so the caller cannot rebuild a pickled instance."""
+
+        def run_failing_in_helper(*args, **kwargs):
+            if os.getpid() != parent:
+                os.write(started_w, b"x")
+                if fail == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise Inner("cannot travel")
+            # hold the parent's first cell until a helper has claimed one
+            select.select([started_r], [], [], 30)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", run_failing_in_helper)
+        monkeypatch.setattr(harness, "_default_jobs", lambda: 2)
+        before = _live_children()
+        argv = ["run", str(write_config(tmp_path)), "--out", str(tmp_path / "metrics.csv")]
+        try:
+            assert cli.main(argv) == 1
+        finally:
+            os.close(started_r)
+            os.close(started_w)
+        expected = {"sigkill": r"error: grid helper \d+ exited without returning its cells",
+                    "local-exception": r"error: Inner\('cannot travel'\)"}[fail]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.fullmatch(expected, err[0]), err
+        assert _live_children() == before
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]  # no CSV, no temp file
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_parent_exception_stops_helpers(self, tmp_path, monkeypatch, error):
         parent = os.getpid()
         started_r, started_w = os.pipe()
 
@@ -367,7 +404,7 @@ class TestParallelCells:
                 os.write(started_w, b"x")
                 time.sleep(60)  # a busy helper must be stopped, not awaited
             select.select([started_r], [], [], 30)
-            raise RuntimeError("parent cell failed")
+            raise error("parent cell failed")
 
         monkeypatch.setattr(harness, "run", run_failing_in_parent)
         monkeypatch.setattr(harness, "_default_jobs", lambda: 2)
@@ -376,7 +413,7 @@ class TestParallelCells:
         out.write_text("previous results\n")
         start = time.monotonic()
         try:
-            with pytest.raises(RuntimeError, match="parent cell failed"):
+            with pytest.raises(error, match="parent cell failed"):
                 run_experiment(load_config(write_config(tmp_path, out=str(out))),
                                force=True)
         finally:

@@ -341,7 +341,7 @@ def index_array_run(model, train, algorithm, potential, hp, rng, epochs, test):
     """run() without contiguous epoch batches or evaluation buffers: each
     step gets the index array order[s:s + b] of the unshuffled data, and
     every forward allocates. Returns the final state and metrics rows."""
-    w = model.init_weights(rng, 0.01)
+    w = 0.01 * rng.standard_normal(model.n_params)
     w += potential.grad_inverse(np.zeros_like(w))
     state = OptimizerState(w=w, z=np.zeros(train.n))
     w_init = w.copy()
