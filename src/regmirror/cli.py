@@ -46,7 +46,6 @@ def _build_parser():
 
     p_sum = sub.add_parser("summarize", help="summarize a metrics CSV")
     p_sum.add_argument("csv")
-    p_sum.add_argument("--out", help="write the summary CSV here instead of stdout")
 
     p_or = sub.add_parser("oracle", help="solve a seeded linear instance exactly")
     p_or.add_argument("--kind", choices=("minnorm", "dual", "ridge", "reference"),
@@ -68,11 +67,7 @@ def _cmd_run(args):
 
 
 def _cmd_summarize(args):
-    text = summarize(args.csv, out=args.out)
-    if args.out:
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(summarize(args.csv))
 
 
 def _cmd_oracle(args):

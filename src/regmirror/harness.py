@@ -361,13 +361,14 @@ def _reap(helpers):
     return results
 
 
-def summarize(path, out=None):
+def summarize(path):
     """Final-epoch accuracy per (algorithm, lambda), one CSV row each.
 
     A run's final row is the one that carries its stop reason. When a
     cell was swept over several learning rates or seeds, the best final
     test accuracy is reported (matching how sweep results are quoted);
-    ties fall back to train accuracy.
+    ties go to the better train accuracy, then to the smaller eta, then
+    to the earlier epoch, so the row order of the file does not matter.
     """
     best = {}  # (algorithm, lambda) -> (sort key, rank, summary fields)
     with open(path) as fh:
@@ -386,7 +387,7 @@ def summarize(path, out=None):
             try:
                 sort_key = (alg, float("inf") if lam == "na" else float(lam))
                 rank = tuple(float("-inf") if v == "NA" else float(v)
-                             for v in (test_acc, train_acc))
+                             for v in (test_acc, train_acc)) + (-float(eta), -int(epoch))
                 summary = [alg, lam, eta, str(int(epoch)), train_acc, test_acc]
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: malformed row ({exc})") from exc
@@ -394,8 +395,4 @@ def summarize(path, out=None):
                 best[alg, lam] = (sort_key, rank, summary)
     lines = ["algorithm,lambda,eta,epoch,train_accuracy,test_accuracy"]
     lines += [",".join(summary) for _, _, summary in sorted(best.values(), key=lambda v: v[0])]
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"

@@ -35,8 +35,9 @@ class HyperParams:
     batch_size: int = 1
 
     def __post_init__(self):
-        if self.eta <= 0 or self.lam <= 0 or self.batch_size < 1:
-            raise ValueError(f"hyperparameters must be positive: {self}")
+        # lam = inf is the exact SMD limit; a NaN fails every comparison
+        if not (0 < self.eta < math.inf and 0 < self.lam <= math.inf and self.batch_size >= 1):
+            raise ValueError(f"need 0 < eta < inf, 0 < lam <= inf and batch_size >= 1: {self}")
 
 
 @dataclasses.dataclass

@@ -142,8 +142,7 @@ def _kkt_newton(x, y, potential, base, nu, lam=None, tol=_DUAL_TOL):
             done = _stationary(float(np.abs(grad).max()), float(np.abs(psi_grad).max()))
         if done:
             return answer
-        # psi*'' = psi*' = exp(v - 1) for the entropy, which is w
-        diag = w if isinstance(potential, NegativeEntropy) else potential.grad_inverse_deriv(v)
+        diag = potential.grad_inverse_deriv(v)
         rhs = r_p if exact_map else r_p + x @ (diag * r_d)
         system = (x * diag) @ x.T
         if lam is not None:

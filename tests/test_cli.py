@@ -38,11 +38,16 @@ def test_run_and_summarize(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(out)]) == 1
     assert main(["run", str(cfg), "--out", str(out), "--force"]) == 0
 
-    summary = tmp_path / "summary.csv"
-    assert main(["summarize", str(out), "--out", str(summary)]) == 0
-    lines = summary.read_text().splitlines()
+    capsys.readouterr()
+    assert main(["summarize", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("algorithm,lambda")
     assert len(lines) == 3
+    # summarize only prints: the shell's redirection saves the table
+    with pytest.raises(SystemExit) as exit_info:
+        main(["summarize", str(out), "--out", str(tmp_path / "summary.csv")])
+    assert exit_info.value.code == 2
+    assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "metrics.csv"]
 
 
 def test_run_flag_overrides(tmp_path):

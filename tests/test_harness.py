@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import os
 import re
 import select
@@ -446,6 +447,13 @@ class TestSummarize:
         other = tmp_path / "shuffled.csv"
         other.write_text("\n".join(shuffled) + "\n")
         assert summarize(path) == summarize(other)
+        # rows tied on both accuracies: the smaller eta wins, then the earlier epoch
+        tied = ["sgd-lamna-eta0.01,sgd,na,0.01,0,7,0.1,90,80,NA,0.1,interpolated",
+                "sgd-lamna-eta0.1,sgd,na,0.1,0,3,0.1,90,80,NA,0.1,interpolated",
+                "sgd-lamna-eta0.01,sgd,na,0.01,1,5,0.1,90,80,NA,0.1,interpolated"]
+        for order in itertools.permutations(tied):
+            other.write_text("\n".join((CSV_HEADER,) + order) + "\n")
+            assert summarize(other).splitlines()[1] == "sgd,na,0.01,5,90,80"
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "broken.csv"

@@ -316,6 +316,23 @@ class TestRun:
         assert result.stop_reason == "budget"
         assert len(result.metrics) == 5
 
+    @pytest.mark.parametrize("eta, lam", [(math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan)],
+                             ids=["eta=nan", "eta=inf", "lam=nan"])
+    def test_hyperparams_refuse_nan_and_infinite_eta(self, eta, lam):
+        # each of these would train to a NonFiniteError at epoch 1 or 2, blaming the run
+        with pytest.raises(ValueError, match="need 0 < eta < inf"):
+            HyperParams(eta=eta, lam=lam)
+
+    def test_infinite_lambda_runs_as_the_smd_limit(self):
+        rng = rng_stream(28)
+        ds = regression_dataset(rng.standard_normal((4, 10)), rng.standard_normal(4))
+        result = run(LinearModel(10), ds, "rmd", SquaredL2(),
+                     HyperParams(eta=1e-4, lam=math.inf), rng_stream(6),
+                     epochs=5, w0=np.zeros(10))
+        assert result.stop_reason == "budget"
+        assert np.isfinite(result.state.w).all()
+        assert not result.state.z.any()  # z never moves: the update is SMD
+
     def test_entropy_run_errors_not_clamps_outside_domain(self):
         rng = rng_stream(29)
         ds = regression_dataset(rng.standard_normal((3, 6)), rng.standard_normal(3))

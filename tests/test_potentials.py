@@ -73,6 +73,15 @@ class TestGradInverse:
         assert np.array_equal(potential.grad_inverse(w if not isinstance(potential, NegativeEntropy) else w)[perm],
                               potential.grad_inverse(w[perm]))
 
+    @pytest.mark.parametrize("potential", ALL_KINDS, ids=lambda p: p.name)
+    def test_deriv_matches_finite_differences(self, potential):
+        # psi*'' is the KKT Newton's Jacobian diagonal in every oracle solve
+        v = np.linspace(0.2, 2.0, 10)
+        v = np.concatenate([v, -v])
+        h = 1e-6
+        fd = (potential.grad_inverse(v + h) - potential.grad_inverse(v - h)) / (2 * h)
+        assert np.allclose(potential.grad_inverse_deriv(v), fd, rtol=1e-6, atol=0)
+
 
 class TestBregman:
     def test_l2_is_half_squared_distance(self):
