@@ -22,9 +22,6 @@ import numpy as np
 from .errors import RegmirrorError
 from .harness import ExperimentConfig, load_config, run_experiment, summarize
 from .numerics import rng_stream
-from .oracle import (InterpolationProblem, RegularizedProblem, min_norm_l2,
-                     min_potential_dual, regularized_objective,
-                     regularized_reference, ridge_closed_form)
 from .potentials import SquaredL2, parse_potential
 
 
@@ -71,6 +68,11 @@ def _cmd_summarize(args):
 
 
 def _cmd_oracle(args):
+    # imported here, so that `run` and `summarize` do not load the oracle
+    from .oracle import (InterpolationProblem, RegularizedProblem, min_norm_l2,
+                         min_potential_dual, regularized_objective,
+                         regularized_reference, ridge_closed_form)
+
     if args.n < 1:
         raise RegmirrorError(f"--n must be at least 1, got {args.n}")
     if args.p < args.n:

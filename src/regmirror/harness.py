@@ -256,61 +256,26 @@ def _write_csv(path, rows):
 
 
 # At most this many claims sit in the cell queue, 4 bytes each, so the
-# whole queue fits in a pipe's buffer and is written before any fork.
+# whole queue fits in a pipe's buffer and is written before any helper starts.
 _MAX_CLAIMS = 1024
 _CLAIM = struct.Struct("<I")
 
 
 def _run_cells(run_cell, count, jobs):
-    """[run_cell(p) for p in range(count)], spread over up to ``jobs`` processes.
-
-    The calling process runs cells itself, whatever ``jobs`` is;
-    ``jobs - 1`` forked helpers (none without ``os.fork``) inherit the
-    data and model and run cells alongside it. Every process claims the
-    next block of positions from a shared pipe when it goes idle,
-    because cells differ widely in length. Helpers send their results
-    back pickled over a pipe of their own; an exception in any process
-    reaches the caller after every helper has been reaped.
-
-    Forking is safe although OpenBLAS may hold idle threads: it shuts
-    its thread pool down around fork() through pthread_atfork.
-    """
+    """[run_cell(p) for p in range(count)], spread over up to ``jobs`` processes:
+    this one and ``jobs - 1`` helpers (none without ``os.fork``). Each claims the
+    next block of positions from a shared pipe when it goes idle, because cells
+    differ widely in length."""
     jobs = min(jobs, count) if hasattr(os, "fork") else 1
     block = -(-count // _MAX_CLAIMS)
     queue_r, queue_w = os.pipe()
     os.write(queue_w, b"".join(_CLAIM.pack(start) for start in range(0, count, block)))
     os.close(queue_w)
-    helpers = []  # (pid, read end of its result pipe)
+    task = (run_cell, count, block, queue_r)
     try:
-        for _ in range(jobs - 1):
-            result_r, result_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _helper_main(run_cell, count, block, queue_r, result_w)
-            os.close(result_w)
-            helpers.append((pid, result_r))
-        done = _claim_cells(run_cell, count, block, queue_r)
-    except BaseException:
-        import signal  # imported here, off the start-up path of every run
-
-        for pid, _ in helpers:
-            os.kill(pid, signal.SIGKILL)
-        _reap(helpers)
-        raise
+        done = _claim_cells(*task) if jobs == 1 else _claim_with_helpers(task, jobs - 1)
     finally:
         os.close(queue_r)
-    error = None
-    for pid, data in _reap(helpers):
-        payload = pickle.loads(data) if data else None
-        if payload is None:
-            error = error or WorkerError(f"grid helper {pid} exited without returning its cells")
-        elif payload[0] == "ok":
-            done.update(payload[1])
-        elif error is None:
-            error = payload[1]
-            error.__cause__ = WorkerError(f"raised in grid helper {pid}:\n{payload[2]}")
-    if error is not None:
-        raise error
     return [done[position] for position in range(count)]
 
 
@@ -331,34 +296,53 @@ def _claim_cells(run_cell, count, block, queue_r):
     return done
 
 
-def _helper_main(run_cell, count, block, queue_r, result_w):
-    """Body of a forked helper: run claimed cells, send them back, exit."""
-    try:
+def _claim_with_helpers(task, helpers):
+    """_claim_cells(*task) here and in ``helpers`` forked pool workers.
+
+    Fork hands each worker ``task`` (``run_cell`` is a closure, which
+    pickle refuses) and the open queue; OpenBLAS shuts its idle threads
+    down around fork() through pthread_atfork. A worker's exception
+    reaches the caller with its traceback as ``__cause__``; any
+    exception in the caller kills every worker.
+    """
+    import multiprocessing  # imported here, off the start-up path of one-process runs
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    before = set(multiprocessing.active_children())
+    with ProcessPoolExecutor(helpers, multiprocessing.get_context("fork"),
+                             initializer=_inherited.append, initargs=(task,)) as pool:
         try:
-            payload = ("ok", _claim_cells(run_cell, count, block, queue_r))
-        except BaseException as exc:
-            import traceback  # imported here, off the start-up path of every run
+            futures = [pool.submit(_helper_cells) for _ in range(helpers)]
+            started = set(multiprocessing.active_children()) - before
+            done = _claim_cells(*task)
+            for future in futures:
+                done.update(future.result())
+            return done
+        except BrokenProcessPool:
+            pool.shutdown()  # joins the workers; once one died, the pool SIGTERMed the rest
+            dead = min(started, key=lambda helper: (helper.exitcode == -signal.SIGTERM, helper.pid))
+            raise WorkerError(f"grid helper {dead.pid} exited without returning its cells")
+        except BaseException:
+            for helper in set(multiprocessing.active_children()) - before:
+                helper.kill()
+            raise
 
-            payload = ("error", exc, traceback.format_exc())
-            try:
-                pickle.loads(pickle.dumps(exc))  # the parent must be able to rebuild it
-            except Exception:
-                payload = ("error", WorkerError(repr(exc)), payload[2])
-        with os.fdopen(result_w, "wb") as fh:
-            fh.write(pickle.dumps(payload))
-    finally:
-        os._exit(0)  # skip the parent's atexit handlers and buffered output
+
+_inherited = []  # a pool worker's task, appended as it starts: [(run_cell, count, block, queue_r)]
 
 
-def _reap(helpers):
-    """Read each helper's result pipe to EOF and wait for it; [(pid, bytes)]."""
-    results = []
-    for pid, result_r in helpers:
-        with os.fdopen(result_r, "rb") as fh:
-            data = fh.read()
-        os.waitpid(pid, 0)
-        results.append((pid, data))
-    return results
+def _helper_cells():
+    """A pool worker's one job; an exception the caller cannot rebuild becomes a WorkerError."""
+    try:
+        return _claim_cells(*_inherited[0])
+    except BaseException as exc:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            raise WorkerError(repr(exc)) from None
+        raise
 
 
 def summarize(path):

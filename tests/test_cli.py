@@ -146,6 +146,30 @@ def test_cli_starts_openblas_at_one_thread_unless_set(tmp_path):
     assert csvs[0] == csvs[1] and csvs[0].count(b"\n") > 1
 
 
+_MODULES_AFTER_RUN_SCRIPT = """
+import sys
+from regmirror.cli import main
+code = main(sys.argv[1:])
+print(sorted(name for name in ("regmirror.oracle", "multiprocessing", "concurrent.futures.process")
+             if name in sys.modules))
+sys.exit(code)
+"""
+
+
+def test_one_process_run_loads_neither_oracle_nor_pool(tmp_path):
+    # a one-cell grid starts no helper, so it pays for neither import
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG.replace("algorithms = sgd,rmd", "algorithms = sgd"))
+    out = subprocess.run([sys.executable, "-c", _MODULES_AFTER_RUN_SCRIPT, "run", str(cfg),
+                          "--out", str(tmp_path / "m.csv")],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [f"wrote {tmp_path / 'm.csv'}", "[]"]
+    assert (tmp_path / "m.csv").read_text().count("\n") > 1
+
+
 def test_oracle_subcommand(capsys):
     assert main(["oracle", "--kind", "minnorm", "--n", "3", "--p", "9",
                  "--seed", "2"]) == 0

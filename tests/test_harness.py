@@ -357,7 +357,10 @@ class TestParallelCells:
         finally:
             os.close(started_r)
             os.close(started_w)
-        assert "grid helper" in str(info.value.__cause__)
+        # the helper's own traceback travels with its exception
+        cause = str(info.value.__cause__)
+        assert "in run_failing_in_helper" in cause
+        assert "RuntimeError: helper cell failed" in cause
         assert _live_children() == before
         assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]  # no CSV, no temp file
 
